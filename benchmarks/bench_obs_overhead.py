@@ -144,8 +144,8 @@ def _run_headline(
     gc.disable()
     try:
         started = time.perf_counter()
-        greedy = GreedySolver(use_dense=True).solve(problem)
-        refiner = LocalSearchRefiner(max_rounds=1, moves="replace", use_dense=True)
+        greedy = GreedySolver().solve(problem)
+        refiner = LocalSearchRefiner(max_rounds=1, moves="replace")
         refiner.refine(problem, greedy.assignment)
         return time.perf_counter() - started
     finally:

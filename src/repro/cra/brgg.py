@@ -15,14 +15,10 @@ priority queue avoids recomputing a paper's best group unless one of its
 cached members has run out of capacity (removing reviewers can only lower
 the best achievable score, so cached scores are valid upper bounds).
 
-On the default path the per-paper conflict exclusions are read from the
-compiled feasibility mask of the problem's
-:class:`~repro.core.dense.DenseProblem` (one boolean column per sub-solve,
-with live conflict edits patched in by ``dense_view()``) and the inner BBA
-runs its vectorised candidate front; ``use_dense=False`` keeps the
-object-path exclusions (``ConflictOfInterest`` set lookups) and the
-cursor-loop BBA as the conformance oracle.  Both paths exclude exactly the
-same reviewers and hence commit identical groups.
+The per-paper conflict exclusions are read from the compiled feasibility
+mask of the problem's :class:`~repro.core.dense.DenseProblem` (one boolean
+column per sub-solve, with live conflict edits patched in by
+``dense_view()``).
 """
 
 from __future__ import annotations
@@ -31,6 +27,7 @@ import heapq
 from typing import Any
 
 from repro.core.assignment import Assignment
+from repro.core.dense import DenseProblem
 from repro.core.problem import JRAProblem, WGRAPProblem
 from repro.cra.base import CRASolver
 from repro.cra.repair import complete_assignment
@@ -39,49 +36,28 @@ from repro.jra.bba import BranchAndBoundSolver
 __all__ = ["BestReviewerGroupGreedySolver"]
 
 
-class BestReviewerGroupGreedySolver(CRASolver):
-    """Assign whole groups paper-by-paper, best-scoring paper first.
+def _conflicted_reviewers(dense: DenseProblem, paper_id: str) -> set[str]:
+    """Pool reviewers with a conflict of interest on ``paper_id``.
 
-    Parameters
-    ----------
-    use_dense:
-        ``False`` resolves conflict exclusions through the object path and
-        runs the inner BBA on its cursor-loop baseline (conformance
-        oracle); results are identical either way.
+    Only reviewers in the pool can appear: the conflict container may still
+    name reviewers withdrawn earlier in a mutation chain, and counting those
+    would understate the available pool (the compiled mask never sees them).
     """
+    column = dense.feasible[:, dense.paper_pos[paper_id]]
+    reviewer_ids = dense.problem.reviewer_ids
+    return {reviewer_ids[row] for row in (~column).nonzero()[0]}
+
+
+class BestReviewerGroupGreedySolver(CRASolver):
+    """Assign whole groups paper-by-paper, best-scoring paper first."""
 
     name = "BRGG"
-
-    def __init__(self, use_dense: bool = True) -> None:
-        self._use_dense = use_dense
 
     def _solve(self, problem: WGRAPProblem) -> tuple[Assignment, dict[str, Any]]:
         assignment = Assignment()
         loads = {reviewer_id: 0 for reviewer_id in problem.reviewer_ids}
-        bba = BranchAndBoundSolver(use_dense=self._use_dense)
-        if self._use_dense:
-            dense = problem.dense_view()
-            reviewer_ids = problem.reviewer_ids
-
-            def conflicted_with(paper_id: str) -> set[str]:
-                column = dense.feasible[:, dense.paper_pos[paper_id]]
-                return {reviewer_ids[row] for row in (~column).nonzero()[0]}
-
-        else:
-
-            def conflicted_with(paper_id: str) -> set[str]:
-                # Filter to reviewers that are actually in the pool: the
-                # conflict container can carry entries for reviewers
-                # withdrawn earlier in the mutation chain, and counting
-                # those would understate ``available`` below (the dense
-                # mask never sees them — conformance pins the parity).
-                return {
-                    reviewer_id
-                    for reviewer_id in problem.conflicts.reviewers_conflicting_with(
-                        paper_id
-                    )
-                    if reviewer_id in loads
-                }
+        bba = BranchAndBoundSolver()
+        dense = problem.dense_view()
 
         def best_group(paper_id: str) -> tuple[float, tuple[str, ...]]:
             """Best feasible group for ``paper_id`` under remaining capacity.
@@ -98,7 +74,7 @@ class BestReviewerGroupGreedySolver(CRASolver):
                 for reviewer_id, load in loads.items()
                 if load >= problem.reviewer_workload
             }
-            excluded = exhausted | conflicted_with(paper_id)
+            excluded = exhausted | _conflicted_reviewers(dense, paper_id)
             available = problem.num_reviewers - len(excluded)
             if available <= 0:
                 return 0.0, ()
@@ -144,8 +120,6 @@ class BestReviewerGroupGreedySolver(CRASolver):
             assignment.group_size(paper_id) < problem.group_size
             for paper_id in problem.paper_ids
         ):
-            assignment = complete_assignment(
-                problem, assignment, use_dense=self._use_dense
-            )
+            assignment = complete_assignment(problem, assignment)
             repaired = True
         return assignment, {"group_solves": group_solves, "repaired": repaired}

@@ -7,19 +7,9 @@ the objective is submodular over a 2-system of feasible assignments, the
 greedy achieves a 1/3 approximation (Fisher, Nemhauser and Wolsey 1978),
 which the paper's SDGA improves to at least 1/2.
 
-Two implementations are provided behind one class:
-
-* ``use_lazy_heap=True`` (default) — the textbook *lazy greedy*: gains are
-  kept in a max-heap and only re-evaluated when popped; submodularity
-  guarantees the re-evaluated gain is still an upper bound of the true
-  gain, so the selection is identical to the naive version.
-* ``use_lazy_heap=False`` — the naive re-scan of every feasible pair at
-  every iteration; kept for the ablation benchmark that shows why the heap
-  matters.
-
-The default path runs on the :class:`~repro.core.dense.DenseProblem`
-index-space view and replaces the heap with incrementally maintained
-per-paper column maxima over the ``(R, P)`` gain matrix: the initial
+The solver runs on the :class:`~repro.core.dense.DenseProblem`
+index-space view and maintains per-paper column maxima over the
+``(R, P)`` gain matrix instead of re-scanning every pair: the initial
 gains come straight from the pair-score matrix and the compiled
 feasibility mask (no per-pair ``is_feasible_pair`` string calls), and
 each step refreshes exactly one column plus the column maxima
@@ -31,20 +21,17 @@ next candidate's bound — falling back to the full column whenever the
 bound cannot certify the argmax, so the refresh is ``O(width * T)``
 instead of ``O(R * T)`` without changing a single selection.  Every step
 selects the feasible pair with the largest *current* marginal gain, ties
-broken by smallest ``(reviewer, paper)`` — exactly the naive greedy's
-selection, which ``tests/test_dense_kernels.py`` pins bit for bit,
-including ties.  (The lazy heap selects on *recorded* gains refreshed
-only when popped; floating-point rounding can leave a stale record an
-ulp below the true current gain, so in exact-tie regimes — e.g. a group
-that already covers a paper's residual — the heap's pick can differ from
-the true argmax by tie order.  The dense path is faithful to the true
-selection; ``use_dense=False`` keeps the historical heap as reference
-and benchmark baseline.)
+broken by smallest ``(reviewer, paper)`` — exactly the naive re-scan's
+selection, which the test suite's object-layer oracle pins bit for bit,
+including ties.  (A lazy max-heap of recorded gains is *not* equivalent:
+floating-point rounding can leave a stale record an ulp below the true
+current gain, so in exact-tie regimes — e.g. a group that already covers
+a paper's residual — the heap's pick can differ from the true argmax by
+tie order.)
 """
 
 from __future__ import annotations
 
-import heapq
 from typing import Any
 
 import numpy as np
@@ -66,22 +53,6 @@ class GreedySolver(CRASolver):
 
     Parameters
     ----------
-    use_lazy_heap:
-        Choose between the lazy-heap greedy (default) and the naive
-        full re-scan (ablation only).
-    use_dense:
-        For the lazy path, ``False`` selects the historical object-path
-        lazy heap, kept as the dense-kernel benchmark baseline.  The heap
-        makes the identical assignment except in exact-gain-tie regimes,
-        where its ulp-stale records can reorder the tie (see the module
-        docstring) — the dense path matches the *naive* selection bit for
-        bit everywhere, which is why the cross-solver conformance harness
-        uses the naive object path (``use_lazy_heap=False,
-        use_dense=False``), not the heap, as Greedy's object oracle.  For
-        the naive path, ``False`` evaluates every gain through the object
-        layer (per-paper ``group_vector`` + ``gain_vector`` calls,
-        ``is_feasible_pair`` string checks) with the identical true-argmax
-        selection.
     prune:
         Refresh columns through the exact pruned candidate generator
         (default).  Pruning is result-preserving — every certification
@@ -94,47 +65,17 @@ class GreedySolver(CRASolver):
 
     name = "Greedy"
 
-    def __init__(
-        self,
-        use_lazy_heap: bool = True,
-        use_dense: bool = True,
-        prune: bool = True,
-        prune_width: int | None = None,
-    ) -> None:
-        self._use_lazy_heap = use_lazy_heap
-        self._use_dense = use_dense
+    def __init__(self, prune: bool = True, prune_width: int | None = None) -> None:
         self._prune = prune
         self._prune_width = prune_width
 
     def _solve(self, problem: WGRAPProblem) -> tuple[Assignment, dict[str, Any]]:
-        if self._use_lazy_heap:
-            if self._use_dense:
-                return self._solve_lazy(problem)
-            return self._solve_lazy_object(problem)
-        if self._use_dense:
-            return self._solve_naive(problem)
-        return self._solve_naive_object(problem)
-
-    # ------------------------------------------------------------------
-    # Lazy greedy (dense kernels)
-    # ------------------------------------------------------------------
-    def _solve_lazy(self, problem: WGRAPProblem) -> tuple[Assignment, dict[str, Any]]:
         """Greedy via incrementally maintained per-paper column maxima.
 
-        Selects, at every step, the feasible pair with the largest
-        *current* marginal gain, ties broken by the smallest
-        ``(reviewer, paper)`` index pair — bitwise the same selection as
-        the naive full re-scan (pinned by the equivalence tests), at a
-        fraction of its cost: instead of recomputing every gain each
-        round (or popping millions of stale heap tuples), only each
-        paper's current column maximum and argmax are maintained;
-        assigning a pair refreshes that paper's column through the exact
-        pruned candidate generator (top-``width`` shortlist by pair-score
-        bound, certified, full-column fallback) and, when the reviewer
-        saturates, the maxima of the columns that pointed at it —
-        everything else is already up to date.  A column's gains change
-        only when its own group changes, so a re-evaluation between
-        refreshes reproduces the stored values exactly.
+        Assigning a pair refreshes that paper's column and, when the
+        reviewer saturates, the maxima of the columns that pointed at it;
+        every other column is already up to date, because a column's gains
+        change only when its own group changes.
         """
         dense = problem.dense_view()
         reviewer_matrix = dense.reviewer_matrix
@@ -187,8 +128,8 @@ class GreedySolver(CRASolver):
                 if tied.size == 1:
                     paper_idx = int(tied[0])
                 else:
-                    # Heap tie order: smallest (reviewer, paper) among the tied
-                    # column bests.
+                    # Naive-scan tie order: smallest (reviewer, paper)
+                    # among the tied column bests.
                     paper_idx = int(tied[np.lexsort((tied, column_arg[tied]))[0]])
                 reviewer_idx = int(column_arg[paper_idx])
 
@@ -237,215 +178,5 @@ class GreedySolver(CRASolver):
             "prune_width": generator.width,
             "prune_certified": dense.view_stats.prune_certified - certified_before,
             "prune_fallbacks": dense.view_stats.prune_fallbacks - fallbacks_before,
-            "repaired": repaired,
-        }
-
-    # ------------------------------------------------------------------
-    # Lazy-heap greedy (object-path reference)
-    # ------------------------------------------------------------------
-    def _solve_lazy_object(
-        self, problem: WGRAPProblem
-    ) -> tuple[Assignment, dict[str, Any]]:
-        """The pre-dense implementation, kept as a pinned baseline."""
-        scoring = problem.scoring
-        reviewer_matrix = problem.reviewer_matrix
-        paper_matrix = problem.paper_matrix
-        num_papers = problem.num_papers
-        num_reviewers = problem.num_reviewers
-
-        assignment = Assignment()
-        group_vectors = np.zeros((num_papers, problem.num_topics), dtype=np.float64)
-        group_sizes = np.zeros(num_papers, dtype=np.int64)
-        loads = np.zeros(num_reviewers, dtype=np.int64)
-        versions = np.zeros(num_papers, dtype=np.int64)
-
-        initial_gains = problem.pair_score_matrix()
-        heap: list[tuple[float, int, int, int]] = []
-        for paper_idx in range(num_papers):
-            paper_id = problem.paper_ids[paper_idx]
-            for reviewer_idx in range(num_reviewers):
-                reviewer_id = problem.reviewer_ids[reviewer_idx]
-                if not problem.is_feasible_pair(reviewer_id, paper_id):
-                    continue
-                heap.append(
-                    (-float(initial_gains[reviewer_idx, paper_idx]), reviewer_idx, paper_idx, 0)
-                )
-        heapq.heapify(heap)
-
-        target_pairs = num_papers * problem.group_size
-        iterations = 0
-        reinsertions = 0
-
-        while len(assignment) < target_pairs and heap:
-            negative_gain, reviewer_idx, paper_idx, version = heapq.heappop(heap)
-            if group_sizes[paper_idx] >= problem.group_size:
-                continue
-            if loads[reviewer_idx] >= problem.reviewer_workload:
-                continue
-            reviewer_id = problem.reviewer_ids[reviewer_idx]
-            paper_id = problem.paper_ids[paper_idx]
-            if assignment.contains(reviewer_id, paper_id):
-                continue
-
-            if version != versions[paper_idx]:
-                gain = float(
-                    scoring.gain_vector(
-                        group_vectors[paper_idx],
-                        reviewer_matrix[reviewer_idx][None, :],
-                        paper_matrix[paper_idx],
-                    )[0]
-                )
-                heapq.heappush(
-                    heap, (-gain, reviewer_idx, paper_idx, int(versions[paper_idx]))
-                )
-                reinsertions += 1
-                continue
-
-            assignment.add(reviewer_id, paper_id)
-            group_vectors[paper_idx] = np.maximum(
-                group_vectors[paper_idx], reviewer_matrix[reviewer_idx]
-            )
-            group_sizes[paper_idx] += 1
-            loads[reviewer_idx] += 1
-            versions[paper_idx] += 1
-            iterations += 1
-
-        repaired = False
-        if len(assignment) < target_pairs:
-            assignment = complete_assignment(problem, assignment)
-            repaired = True
-        return assignment, {
-            "iterations": iterations,
-            "heap_reinsertions": reinsertions,
-            "strategy": "lazy_heap",
-            "repaired": repaired,
-        }
-
-    # ------------------------------------------------------------------
-    # Naive greedy (ablation)
-    # ------------------------------------------------------------------
-    def _solve_naive(self, problem: WGRAPProblem) -> tuple[Assignment, dict[str, Any]]:
-        dense = problem.dense_view()
-        num_papers = dense.num_papers
-        num_reviewers = dense.num_reviewers
-
-        assignment = Assignment()
-        group_vectors = np.zeros((num_papers, dense.num_topics), dtype=np.float64)
-        group_sizes = np.zeros(num_papers, dtype=np.int64)
-        loads = np.zeros(num_reviewers, dtype=np.int64)
-        # Compiled masks replace the per-iteration string scans: conflicts
-        # come from the dense view, assigned pairs are flipped as they are
-        # chosen (the old code re-walked assignment.pairs() every round —
-        # quadratic in the assignment size — and resolved ids with linear
-        # tuple lookups while building its conflict mask).
-        infeasible = ~dense.feasible
-        assigned = np.zeros((num_reviewers, num_papers), dtype=bool)
-
-        target_pairs = num_papers * dense.group_size
-        iterations = 0
-        evaluations = 0
-
-        while len(assignment) < target_pairs:
-            # Recompute the gain of every feasible pair (the point of the
-            # ablation), in one batched kernel over the open papers.
-            gains = np.full((num_reviewers, num_papers), -np.inf, dtype=np.float64)
-            open_papers = np.flatnonzero(group_sizes < dense.group_size)
-            gains[:, open_papers] = dense.gain_matrix(
-                group_vectors[open_papers], open_papers
-            ).T
-            evaluations += num_reviewers * len(open_papers)
-            gains[loads >= dense.reviewer_workload, :] = -np.inf
-            gains[infeasible] = -np.inf
-            gains[assigned] = -np.inf
-
-            reviewer_idx, paper_idx = np.unravel_index(np.argmax(gains), gains.shape)
-            if not np.isfinite(gains[reviewer_idx, paper_idx]):
-                break  # no feasible pair left (cannot happen on validated problems)
-            reviewer_id = problem.reviewer_ids[int(reviewer_idx)]
-            paper_id = problem.paper_ids[int(paper_idx)]
-            assignment.add(reviewer_id, paper_id)
-            assigned[reviewer_idx, paper_idx] = True
-            group_vectors[paper_idx] = np.maximum(
-                group_vectors[paper_idx], dense.reviewer_matrix[reviewer_idx]
-            )
-            group_sizes[paper_idx] += 1
-            loads[reviewer_idx] += 1
-            iterations += 1
-
-        repaired = False
-        if len(assignment) < target_pairs:
-            assignment = complete_assignment(problem, assignment)
-            repaired = True
-        return assignment, {
-            "iterations": iterations,
-            "gain_evaluations": evaluations,
-            "strategy": "naive",
-            "repaired": repaired,
-        }
-
-    def _solve_naive_object(
-        self, problem: WGRAPProblem
-    ) -> tuple[Assignment, dict[str, Any]]:
-        """The naive greedy evaluated entirely through the object layer.
-
-        Same true-argmax selection (ties on the smallest
-        ``(reviewer, paper)`` pair) as :meth:`_solve_naive`, but gains come
-        from per-paper :meth:`~repro.core.problem.WGRAPProblem.group_vector`
-        + :meth:`~repro.core.scoring.ScoringFunction.gain_vector` calls and
-        feasibility from per-pair ``is_feasible_pair`` checks — the
-        conformance-harness oracle for both dense greedy paths.  (The lazy
-        heap is *not* that oracle: its stale records reorder exact-gain
-        ties, a documented historical divergence pinned by
-        ``tests/conformance``.)
-        """
-        scoring = problem.scoring
-        reviewer_matrix = problem.reviewer_matrix
-        paper_matrix = problem.paper_matrix
-        num_papers = problem.num_papers
-        num_reviewers = problem.num_reviewers
-
-        assignment = Assignment()
-        loads = np.zeros(num_reviewers, dtype=np.int64)
-        target_pairs = num_papers * problem.group_size
-        iterations = 0
-        evaluations = 0
-
-        while len(assignment) < target_pairs:
-            gains = np.full((num_reviewers, num_papers), -np.inf, dtype=np.float64)
-            for paper_idx, paper_id in enumerate(problem.paper_ids):
-                if assignment.group_size(paper_id) >= problem.group_size:
-                    continue
-                group_vector = problem.group_vector(assignment, paper_id)
-                gains[:, paper_idx] = scoring.gain_vector(
-                    group_vector, reviewer_matrix, paper_matrix[paper_idx]
-                )
-                evaluations += num_reviewers
-                members = assignment.reviewers_of(paper_id)
-                for reviewer_idx, reviewer_id in enumerate(problem.reviewer_ids):
-                    if (
-                        loads[reviewer_idx] >= problem.reviewer_workload
-                        or reviewer_id in members
-                        or not problem.is_feasible_pair(reviewer_id, paper_id)
-                    ):
-                        gains[reviewer_idx, paper_idx] = -np.inf
-
-            reviewer_idx, paper_idx = np.unravel_index(np.argmax(gains), gains.shape)
-            if not np.isfinite(gains[reviewer_idx, paper_idx]):
-                break
-            assignment.add(
-                problem.reviewer_ids[int(reviewer_idx)],
-                problem.paper_ids[int(paper_idx)],
-            )
-            loads[reviewer_idx] += 1
-            iterations += 1
-
-        repaired = False
-        if len(assignment) < target_pairs:
-            assignment = complete_assignment(problem, assignment, use_dense=False)
-            repaired = True
-        return assignment, {
-            "iterations": iterations,
-            "gain_evaluations": evaluations,
-            "strategy": "naive_object",
             "repaired": repaired,
         }

@@ -15,8 +15,8 @@ Two kinds of moves are considered:
 
 Both moves preserve feasibility by construction.
 
-The default implementation runs on the
-:class:`~repro.core.dense.DenseProblem` index-space view: for every
+The search runs on the :class:`~repro.core.dense.DenseProblem`
+index-space view: for every
 member of a paper's group the scores of replace candidates come from one
 :meth:`~repro.core.dense.DenseProblem.candidate_scores` broadcast and
 the scores of *all* exchange partners from one
@@ -29,12 +29,11 @@ bounded by ``score(loo) + pair_score - current``): only candidates whose
 bound clears the running best — usually a small minority once refinement
 is underway — are evaluated exactly; skipped candidates provably cannot
 be accepted by the scan, so the selected moves are unchanged.  The move
-*selection* replays the exact first-strict-improvement scan of the object
-path over the precomputed gain vectors, so the chosen moves — and the
-refined assignment — are identical (``use_dense=False`` keeps the object
-path as the pinned reference and benchmark baseline; the only
-normalisation is that exchange partners are visited in sorted-id order,
-where the object path historically used unspecified set order).
+*selection* replays the first-strict-improvement scan of a per-move
+object-layer search (members and exchange partners in sorted-id order,
+replace candidates in reviewer order) over the precomputed gain
+vectors, so the chosen moves — and the refined assignment — are the
+ones that search makes; the test suite pins them bitwise against it.
 """
 
 from __future__ import annotations
@@ -198,10 +197,10 @@ class _DenseSearchState:
     ) -> tuple[float, tuple | None]:
         """The best improving move touching ``paper_idx`` (or ``None``).
 
-        Replays the object path's scan order — for each member (sorted by
-        id): all replace candidates in reviewer order, then all exchange
-        partners in (paper, sorted member) order — against batch-computed
-        gain vectors.
+        Replays the object-layer search's scan order — for each member
+        (sorted by id): all replace candidates in reviewer order, then all
+        exchange partners in (paper, sorted member) order — against
+        batch-computed gain vectors.
         """
         dense = self.dense
         current_score = float(self.scores[paper_idx])
@@ -334,16 +333,11 @@ class LocalSearchRefiner:
     moves:
         Which move kinds to consider: ``"all"`` (default), ``"replace"``
         or ``"exchange"``.
-    use_dense:
-        Search with the batched dense kernels (default).  ``False`` keeps
-        the historical object-path implementation, which selects the
-        identical moves and exists as the reference for the equivalence
-        tests and the dense-kernel benchmark baseline.
     prune:
         Evaluate replace candidates through the admissible upper bound
-        (default; dense path only).  Pruning is result-preserving — the
-        skipped candidates provably cannot be accepted — so disabling it
-        only changes the running time.
+        (default).  Pruning is result-preserving — the skipped candidates
+        provably cannot be accepted — so disabling it only changes the
+        running time.
     """
 
     def __init__(
@@ -351,7 +345,6 @@ class LocalSearchRefiner:
         max_rounds: int = 100,
         time_budget: float | None = None,
         moves: str = "all",
-        use_dense: bool = True,
         prune: bool = True,
     ) -> None:
         if moves not in {"all", "replace", "exchange"}:
@@ -359,7 +352,6 @@ class LocalSearchRefiner:
         self._max_rounds = max_rounds
         self._time_budget = time_budget
         self._moves = moves
-        self._use_dense = use_dense
         self._prune = prune
 
     def refine(
@@ -367,16 +359,6 @@ class LocalSearchRefiner:
     ) -> tuple[Assignment, dict[str, Any]]:
         """Hill-climb from ``assignment``; returns the local optimum reached."""
         problem.validate_assignment(assignment, require_complete=True)
-        if self._use_dense:
-            return self._refine_dense(problem, assignment)
-        return self._refine_object(problem, assignment)
-
-    # ------------------------------------------------------------------
-    # Dense search
-    # ------------------------------------------------------------------
-    def _refine_dense(
-        self, problem: WGRAPProblem, assignment: Assignment
-    ) -> tuple[Assignment, dict[str, Any]]:
         dense = problem.dense_view()
         state = _DenseSearchState(dense, assignment.copy(), prune=self._prune)
         current_score = float(sum(state.scores.tolist()))
@@ -416,169 +398,6 @@ class LocalSearchRefiner:
             "history": history,
         }
         return state.assignment, stats
-
-    # ------------------------------------------------------------------
-    # Object-path reference
-    # ------------------------------------------------------------------
-    def _refine_object(
-        self, problem: WGRAPProblem, assignment: Assignment
-    ) -> tuple[Assignment, dict[str, Any]]:
-        """The pre-dense implementation, kept as a pinned baseline."""
-        current = assignment.copy()
-        current_score = problem.assignment_score(current)
-        started = time.perf_counter()
-        history: list[tuple[float, float]] = [(0.0, current_score)]
-        moves_applied = 0
-
-        for round_index in range(self._max_rounds):
-            if self._time_budget is not None:
-                if time.perf_counter() - started >= self._time_budget:
-                    break
-            improved = False
-
-            with TRACER.span("local_search.round", round=round_index) as round_span:
-                moves_before = moves_applied
-                for paper_id in problem.paper_ids:
-                    if self._time_budget is not None:
-                        if time.perf_counter() - started >= self._time_budget:
-                            break
-                    gain, move = self._best_move_for_paper(problem, current, paper_id)
-                    if move is not None and gain > _TOLERANCE:
-                        self._apply_move(current, move)
-                        current_score += gain
-                        moves_applied += 1
-                        improved = True
-                        history.append((time.perf_counter() - started, current_score))
-                round_span.set(moves=moves_applied - moves_before)
-
-            if not improved:
-                break
-
-        stats: dict[str, Any] = {
-            "moves_applied": moves_applied,
-            "final_score": current_score,
-            "history": history,
-        }
-        return current, stats
-
-    # ------------------------------------------------------------------
-    # Move generation (object path)
-    # ------------------------------------------------------------------
-    def _best_move_for_paper(
-        self, problem: WGRAPProblem, assignment: Assignment, paper_id: str
-    ) -> tuple[float, tuple | None]:
-        """The best improving move that touches ``paper_id`` (or ``None``)."""
-        best_gain = 0.0
-        best_move: tuple | None = None
-        current_score = problem.paper_score(assignment, paper_id)
-        members = sorted(assignment.reviewers_of(paper_id))
-        do_replace = self._moves in {"all", "replace"}
-        do_exchange = self._moves in {"all", "exchange"}
-
-        for reviewer_id in members:
-            # Replace moves: bring in a reviewer with spare capacity.
-            if do_replace:
-                for candidate_id in problem.reviewer_ids:
-                    if candidate_id in members:
-                        continue
-                    if assignment.load(candidate_id) >= problem.reviewer_workload:
-                        continue
-                    if not problem.is_feasible_pair(candidate_id, paper_id):
-                        continue
-                    gain = self._replace_gain(
-                        problem, assignment, paper_id, reviewer_id, candidate_id, current_score
-                    )
-                    if gain > best_gain + _TOLERANCE:
-                        best_gain = gain
-                        best_move = ("replace", paper_id, reviewer_id, candidate_id)
-
-            # Exchange moves: trade reviewers with another paper.
-            if do_exchange:
-                for other_paper_id in problem.paper_ids:
-                    if other_paper_id == paper_id:
-                        continue
-                    for other_reviewer_id in sorted(assignment.reviewers_of(other_paper_id)):
-                        gain = self._exchange_gain(
-                            problem,
-                            assignment,
-                            paper_id,
-                            reviewer_id,
-                            other_paper_id,
-                            other_reviewer_id,
-                        )
-                        if gain is not None and gain > best_gain + _TOLERANCE:
-                            best_gain = gain
-                            best_move = (
-                                "exchange",
-                                paper_id,
-                                reviewer_id,
-                                other_paper_id,
-                                other_reviewer_id,
-                            )
-        return best_gain, best_move
-
-    @staticmethod
-    def _replace_gain(
-        problem: WGRAPProblem,
-        assignment: Assignment,
-        paper_id: str,
-        out_reviewer: str,
-        in_reviewer: str,
-        current_score: float,
-    ) -> float:
-        assignment.remove(out_reviewer, paper_id)
-        assignment.add(in_reviewer, paper_id)
-        new_score = problem.paper_score(assignment, paper_id)
-        assignment.remove(in_reviewer, paper_id)
-        assignment.add(out_reviewer, paper_id)
-        return new_score - current_score
-
-    @staticmethod
-    def _exchange_gain(
-        problem: WGRAPProblem,
-        assignment: Assignment,
-        paper_a: str,
-        reviewer_a: str,
-        paper_b: str,
-        reviewer_b: str,
-    ) -> float | None:
-        """Gain of swapping ``reviewer_a`` and ``reviewer_b`` between papers."""
-        if reviewer_b in assignment.reviewers_of(paper_a):
-            return None
-        if reviewer_a in assignment.reviewers_of(paper_b):
-            return None
-        if not problem.is_feasible_pair(reviewer_b, paper_a):
-            return None
-        if not problem.is_feasible_pair(reviewer_a, paper_b):
-            return None
-        before = problem.paper_score(assignment, paper_a) + problem.paper_score(
-            assignment, paper_b
-        )
-        assignment.remove(reviewer_a, paper_a)
-        assignment.remove(reviewer_b, paper_b)
-        assignment.add(reviewer_b, paper_a)
-        assignment.add(reviewer_a, paper_b)
-        after = problem.paper_score(assignment, paper_a) + problem.paper_score(
-            assignment, paper_b
-        )
-        assignment.remove(reviewer_b, paper_a)
-        assignment.remove(reviewer_a, paper_b)
-        assignment.add(reviewer_a, paper_a)
-        assignment.add(reviewer_b, paper_b)
-        return after - before
-
-    @staticmethod
-    def _apply_move(assignment: Assignment, move: tuple) -> None:
-        if move[0] == "replace":
-            _, paper_id, out_reviewer, in_reviewer = move
-            assignment.remove(out_reviewer, paper_id)
-            assignment.add(in_reviewer, paper_id)
-        else:
-            _, paper_a, reviewer_a, paper_b, reviewer_b = move
-            assignment.remove(reviewer_a, paper_a)
-            assignment.remove(reviewer_b, paper_b)
-            assignment.add(reviewer_b, paper_a)
-            assignment.add(reviewer_a, paper_b)
 
 
 class SDGAWithLocalSearchSolver(CRASolver):

@@ -12,17 +12,13 @@ Solving every stage optimally yields the paper's approximation guarantee:
 ``delta_r`` (Theorem 1) and at least ``1/2`` otherwise (Theorem 2) — a
 substantial improvement over the 1/3 guarantee of the pair-greedy baseline.
 
-The per-stage assignment can be solved by either the Hungarian backend
-(default, dense) or the min-cost-flow backend; both are exact, so the
-choice does not affect the result, only the running time (see the backend
-ablation benchmark).
+Each stage is solved exactly by the Hungarian backend of
+:func:`~repro.assignment.transportation.solve_capacitated_assignment`.
 """
 
 from __future__ import annotations
 
 from typing import Any
-
-import numpy as np
 
 from repro.assignment.transportation import solve_capacitated_assignment
 from repro.core.assignment import Assignment
@@ -36,27 +32,9 @@ __all__ = ["StageDeepeningGreedySolver"]
 
 
 class StageDeepeningGreedySolver(CRASolver):
-    """The paper's SDGA: ``delta_p`` optimal one-reviewer-per-paper stages.
-
-    Parameters
-    ----------
-    backend:
-        ``"hungarian"`` (default) or ``"flow"`` — which exact assignment
-        solver handles each stage.
-    use_dense:
-        ``False`` builds the per-stage inputs through the object path
-        (per-paper ``gain_vector`` calls over ``is_feasible_pair`` string
-        checks) instead of the compiled
-        :meth:`~repro.core.dense.DenseProblem.stage_inputs` kernel.  Both
-        paths produce bitwise-identical stage inputs — the object path is
-        kept as the conformance-harness oracle and benchmark baseline.
-    """
+    """The paper's SDGA: ``delta_p`` optimal one-reviewer-per-paper stages."""
 
     name = "SDGA"
-
-    def __init__(self, backend: str = "hungarian", use_dense: bool = True) -> None:
-        self._backend = backend
-        self._use_dense = use_dense
 
     def _solve(self, problem: WGRAPProblem) -> tuple[Assignment, dict[str, Any]]:
         assignment = Assignment()
@@ -66,37 +44,14 @@ class StageDeepeningGreedySolver(CRASolver):
                 gain = self._run_stage(problem, assignment)
                 stage_span.set(gain=round(gain, 6))
             stage_gains.append(gain)
-        return assignment, {
-            "stages": problem.group_size,
-            "stage_gains": stage_gains,
-            "backend": self._backend,
-        }
+        return assignment, {"stages": problem.group_size, "stage_gains": stage_gains}
 
     # ------------------------------------------------------------------
     # One Stage-WGRAP step
     # ------------------------------------------------------------------
-    def _run_stage(self, problem: WGRAPProblem, assignment: Assignment) -> float:
-        """Assign one more reviewer to every paper, in place; returns the gain."""
-        if self._use_dense:
-            gains, forbidden, capacities = self._stage_inputs(problem, assignment)
-        else:
-            gains, forbidden, capacities = self._stage_inputs_object(
-                problem, assignment
-            )
-        result = solve_capacitated_assignment(
-            gains, capacities, forbidden=forbidden, backend=self._backend
-        )
-        for paper_idx, reviewer_idx in enumerate(result.row_to_col):
-            assignment.add(
-                problem.reviewer_ids[reviewer_idx], problem.paper_ids[paper_idx]
-            )
-        return float(result.total_profit)
-
     @staticmethod
-    def _stage_inputs(
-        problem: WGRAPProblem, assignment: Assignment
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Build the per-stage gain matrix, forbidden mask and capacities.
+    def _run_stage(problem: WGRAPProblem, assignment: Assignment) -> float:
+        """Assign one more reviewer to every paper, in place; returns the gain.
 
         * Gains are marginal coverage gains relative to the groups formed in
           earlier stages (Equation 5), from one batched
@@ -117,45 +72,12 @@ class StageDeepeningGreedySolver(CRASolver):
           stage), the global remainder is the binding constraint
           (Section 4.3.2) and is used instead.
         """
-        return problem.dense_view().stage_inputs(assignment, stage_capped=True)
-
-    @staticmethod
-    def _stage_inputs_object(
-        problem: WGRAPProblem, assignment: Assignment, stage_capped: bool = True
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Object-path construction of the same stage inputs.
-
-        One :meth:`~repro.core.scoring.ScoringFunction.gain_vector` call per
-        paper against its object-path :meth:`~repro.core.problem.WGRAPProblem.group_vector`,
-        feasibility from per-pair :meth:`~repro.core.problem.WGRAPProblem.is_feasible_pair`
-        checks — the pre-compilation semantics the dense kernel is pinned
-        against, kept as the conformance oracle.
-        """
-        scoring = problem.scoring
-        reviewer_matrix = problem.reviewer_matrix
-        paper_matrix = problem.paper_matrix
-        num_papers = problem.num_papers
-        num_reviewers = problem.num_reviewers
-        gains = np.empty((num_papers, num_reviewers), dtype=np.float64)
-        forbidden = np.zeros((num_papers, num_reviewers), dtype=bool)
-        loads = np.zeros(num_reviewers, dtype=np.int64)
-        for paper_idx, paper_id in enumerate(problem.paper_ids):
-            group_vector = problem.group_vector(assignment, paper_id)
-            gains[paper_idx] = scoring.gain_vector(
-                group_vector, reviewer_matrix, paper_matrix[paper_idx]
+        gains, forbidden, capacities = problem.dense_view().stage_inputs(
+            assignment, stage_capped=True
+        )
+        result = solve_capacitated_assignment(gains, capacities, forbidden=forbidden)
+        for paper_idx, reviewer_idx in enumerate(result.row_to_col):
+            assignment.add(
+                problem.reviewer_ids[reviewer_idx], problem.paper_ids[paper_idx]
             )
-            for reviewer_idx, reviewer_id in enumerate(problem.reviewer_ids):
-                if not problem.is_feasible_pair(reviewer_id, paper_id):
-                    forbidden[paper_idx, reviewer_idx] = True
-            for reviewer_id in assignment.reviewers_of(paper_id):
-                row = problem.reviewer_index(reviewer_id)
-                forbidden[paper_idx, row] = True
-                loads[row] += 1
-        remaining = np.maximum(problem.reviewer_workload - loads, 0)
-        if stage_capped:
-            capacities = np.minimum(problem.stage_workload, remaining)
-            if int(capacities.sum()) < num_papers:
-                capacities = remaining
-        else:
-            capacities = remaining
-        return gains, forbidden, capacities
+        return float(result.total_profit)

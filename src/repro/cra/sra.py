@@ -66,8 +66,6 @@ class StochasticRefiner:
     time_budget:
         Optional wall-clock budget in seconds (used by the Figure 12
         experiment, which plots quality against refinement time).
-    backend:
-        Assignment backend for the refill step (``"hungarian"`` or ``"flow"``).
     seed:
         Seed of the pseudo-random generator driving the removals.
     probability_model:
@@ -80,15 +78,6 @@ class StochasticRefiner:
           mentions and rejects.
 
         The alternatives exist for the ablation benchmark.
-    use_dense:
-        ``False`` evaluates the per-round scores through
-        :meth:`WGRAPProblem.assignment_score
-        <repro.core.problem.WGRAPProblem.assignment_score>` and builds the
-        refill inputs through SDGA's object path instead of the compiled
-        kernels (the removal sampling shares one code path — it reads the
-        same cached pair-score matrix either way).  Both paths consume the
-        identical random stream and produce the identical refinement, the
-        conformance oracle for SDGA-SRA's refinement stage.
     """
 
     def __init__(
@@ -97,10 +86,8 @@ class StochasticRefiner:
         decay: float = 0.05,
         max_rounds: int = 1000,
         time_budget: float | None = None,
-        backend: str = "hungarian",
         seed: int | None = 0,
         probability_model: str = "decayed",
-        use_dense: bool = True,
     ) -> None:
         if convergence_window < 1:
             raise ConfigurationError("convergence_window (omega) must be at least 1")
@@ -116,10 +103,8 @@ class StochasticRefiner:
         self._decay = decay
         self._max_rounds = max_rounds
         self._time_budget = time_budget
-        self._backend = backend
         self._seed = seed
         self._probability_model = probability_model
-        self._use_dense = use_dense
 
     # ------------------------------------------------------------------
     # Public API
@@ -130,12 +115,7 @@ class StochasticRefiner:
         """Run the stochastic refinement and return the best assignment found."""
         problem.validate_assignment(assignment, require_complete=True)
         rng = np.random.default_rng(self._seed)
-        if self._use_dense:
-            dense = problem.dense_view()
-            score_of = dense.assignment_score
-        else:
-            dense = None
-            score_of = problem.assignment_score
+        dense = problem.dense_view()
         pair_scores = problem.pair_score_matrix()
         # Denominator of Equation 9: how strongly each reviewer scores
         # across *all* papers (reviewers good everywhere are penalised).
@@ -144,7 +124,7 @@ class StochasticRefiner:
 
         current = assignment.copy()
         best = assignment.copy()
-        best_score = score_of(best)
+        best_score = dense.assignment_score(best)
         rounds_without_improvement = 0
         history: list[RefinementRound] = []
         started = time.perf_counter()
@@ -161,7 +141,7 @@ class StochasticRefiner:
                                                     reviewer_mass, round_index, rng)
                 self._refill(problem, dense, current)
 
-            current_score = score_of(current)
+            current_score = dense.assignment_score(current)
             if current_score > best_score + 1e-12:
                 best = current.copy()
                 best_score = current_score
@@ -202,10 +182,8 @@ class StochasticRefiner:
 
         The per-member keep probabilities come from one fancy-indexed slice
         of the pair-score matrix per paper (the same elementwise arithmetic
-        as the historical per-member scalar loop, so the sampled victims —
+        as a per-member scalar loop, so the sampled victims —
         and the consumed random stream — are identical under a fixed seed).
-        One shared code path for both refiner modes: the sampling reads
-        only the cached pair-score matrix and the problem's id order.
         """
         uniform_floor = 1.0 / problem.num_reviewers
         if self._probability_model == "decayed":
@@ -234,35 +212,22 @@ class StochasticRefiner:
             victim = rng.choice(len(members), p=removal_weights)
             assignment.remove(members[int(victim)], paper_id)
 
+    @staticmethod
     def _refill(
-        self,
-        problem: WGRAPProblem,
-        dense: "DenseProblem | None",
-        assignment: Assignment,
+        problem: WGRAPProblem, dense: DenseProblem, assignment: Assignment
     ) -> None:
         """One Stage-WGRAP step that gives every paper one reviewer back.
 
-        On the dense path the stage inputs come from
-        :meth:`DenseProblem.stage_inputs
+        The stage inputs come from :meth:`DenseProblem.stage_inputs
         <repro.core.dense.DenseProblem.stage_inputs>`, which reads the
         shared (delta-maintained) pair-score matrix through the problem's
         cache chain — after an engine mutation the refill pays only the
-        gain kernel, never a full re-score.  The object path builds the
-        bitwise-identical inputs through SDGA's per-pair oracle.
+        gain kernel, never a full re-score.
         """
-        if dense is not None:
-            gains, forbidden, capacities = dense.stage_inputs(
-                assignment, stage_capped=False
-            )
-        else:
-            gains, forbidden, capacities = (
-                StageDeepeningGreedySolver._stage_inputs_object(
-                    problem, assignment, stage_capped=False
-                )
-            )
-        result = solve_capacitated_assignment(
-            gains, capacities, forbidden=forbidden, backend=self._backend
+        gains, forbidden, capacities = dense.stage_inputs(
+            assignment, stage_capped=False
         )
+        result = solve_capacitated_assignment(gains, capacities, forbidden=forbidden)
         for paper_idx, reviewer_idx in enumerate(result.row_to_col):
             assignment.add(problem.reviewer_ids[reviewer_idx], problem.paper_ids[paper_idx])
 

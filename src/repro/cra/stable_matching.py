@@ -9,7 +9,7 @@ stable with respect to the pairwise scores but — as the paper's experiments
 show — ignores the *group* composition, so interdisciplinary papers often
 end up with narrow groups.
 
-The default path builds the preference lists in index space: one stable
+The preference lists are built in index space: one stable
 argsort per paper over the shared (delta-maintained) pair-score matrix,
 conflicts masked out through the compiled feasibility mask of
 :class:`~repro.core.dense.DenseProblem`.  Because the mask is obtained
@@ -17,10 +17,7 @@ through :meth:`WGRAPProblem.dense_view
 <repro.core.problem.WGRAPProblem.dense_view>` *inside the solve*, live
 conflict edits are patched in before any preference list is built — a
 mid-session ``problem.conflicts.add(...)`` is observed, never a stale
-snapshot (pinned by ``tests/conformance``).  ``use_dense=False`` keeps the
-object path — Python sorts over per-pair ``is_feasible_pair`` checks — as
-the conformance-harness oracle; both paths produce identical preference
-lists (stable sort, same tie order) and therefore identical matchings.
+snapshot (pinned by ``tests/conformance``).
 """
 
 from __future__ import annotations
@@ -39,26 +36,13 @@ __all__ = ["StableMatchingSolver"]
 
 
 class StableMatchingSolver(CRASolver):
-    """Deferred acceptance between papers (proposers) and reviewers.
-
-    Parameters
-    ----------
-    use_dense:
-        ``False`` selects the object-path preference-list construction
-        (kept as the conformance baseline); the matching loop is shared.
-    """
+    """Deferred acceptance between papers (proposers) and reviewers."""
 
     name = "SM"
 
-    def __init__(self, use_dense: bool = True) -> None:
-        self._use_dense = use_dense
-
     def _solve(self, problem: WGRAPProblem) -> tuple[Assignment, dict[str, Any]]:
         pair_scores = problem.pair_score_matrix()  # (R, P), shared cache
-        if self._use_dense:
-            preference_lists = self._preferences_dense(problem, pair_scores)
-        else:
-            preference_lists = self._preferences_object(problem, pair_scores)
+        preference_lists = self._preferences_dense(problem, pair_scores)
 
         num_papers = problem.num_papers
         num_reviewers = problem.num_reviewers
@@ -114,9 +98,7 @@ class StableMatchingSolver(CRASolver):
         ):
             # Dense conflicts can exhaust a paper's preference list; top the
             # assignment up with the repair pass (rare in practice).
-            assignment = complete_assignment(
-                problem, assignment, use_dense=self._use_dense
-            )
+            assignment = complete_assignment(problem, assignment)
             repaired = True
 
         return assignment, {
@@ -144,26 +126,4 @@ class StableMatchingSolver(CRASolver):
         for paper_idx in range(problem.num_papers):
             order = np.argsort(-pair_scores[:, paper_idx], kind="stable")
             preference_lists.append(order[feasible[order, paper_idx]].tolist())
-        return preference_lists
-
-    @staticmethod
-    def _preferences_object(
-        problem: WGRAPProblem, pair_scores: np.ndarray
-    ) -> list[list[int]]:
-        """The same lists via Python sorts and per-pair feasibility checks."""
-        reviewer_ids = problem.reviewer_ids
-        preference_lists: list[list[int]] = []
-        for paper_id in problem.paper_ids:
-            paper_idx = problem.paper_index(paper_id)
-            column = pair_scores[:, paper_idx]
-            order = sorted(
-                range(problem.num_reviewers), key=lambda row: -float(column[row])
-            )
-            preference_lists.append(
-                [
-                    row
-                    for row in order
-                    if problem.is_feasible_pair(reviewer_ids[row], paper_id)
-                ]
-            )
         return preference_lists

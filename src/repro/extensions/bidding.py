@@ -38,7 +38,6 @@ from repro.assignment.transportation import solve_capacitated_assignment
 from repro.core.assignment import Assignment
 from repro.core.problem import WGRAPProblem
 from repro.cra.base import CRASolver
-from repro.cra.sdga import StageDeepeningGreedySolver
 from repro.exceptions import ConfigurationError
 
 __all__ = [
@@ -220,30 +219,14 @@ class BidAwareSDGASolver(CRASolver):
         The combined objective; omitted (or with an empty bid matrix) the
         bid term vanishes and the solve degenerates to plain SDGA on the
         same stage problems.
-    backend:
-        Assignment backend for the per-stage matchings.
-    use_dense:
-        ``False`` builds the per-stage coverage gains through the SDGA
-        object path instead of the compiled
-        :meth:`~repro.core.dense.DenseProblem.stage_inputs` kernel; the
-        modular bid term is added identically in both paths, so the staged
-        matchings — and the assignment — are bitwise-identical (pinned by
-        the conformance harness).
     """
 
     name = "Bid-SDGA"
 
-    def __init__(
-        self,
-        objective: BidAwareObjective | None = None,
-        backend: str = "hungarian",
-        use_dense: bool = True,
-    ) -> None:
+    def __init__(self, objective: BidAwareObjective | None = None) -> None:
         self._objective = (
             objective if objective is not None else BidAwareObjective(bids=BidMatrix())
         )
-        self._backend = backend
-        self._use_dense = use_dense
 
     def _solve(self, problem: WGRAPProblem) -> tuple[Assignment, dict[str, Any]]:
         assignment = Assignment()
@@ -251,17 +234,10 @@ class BidAwareSDGASolver(CRASolver):
         tradeoff = self._objective.tradeoff
 
         for _ in range(problem.group_size):
-            if self._use_dense:
-                gains, forbidden, capacities = StageDeepeningGreedySolver._stage_inputs(
-                    problem, assignment
-                )
-            else:
-                gains, forbidden, capacities = (
-                    StageDeepeningGreedySolver._stage_inputs_object(problem, assignment)
-                )
+            gains, forbidden, capacities = problem.dense_view().stage_inputs(assignment)
             combined = gains + tradeoff * bid_matrix
             result = solve_capacitated_assignment(
-                combined, capacities, forbidden=forbidden, backend=self._backend
+                combined, capacities, forbidden=forbidden
             )
             for paper_idx, reviewer_idx in enumerate(result.row_to_col):
                 assignment.add(

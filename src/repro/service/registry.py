@@ -75,10 +75,6 @@ class SolverSpec:
         Capability markers consumed by the documentation tests and the
         conformance harness:
 
-        * ``"dense"`` — the solver runs on the compiled
-          :class:`~repro.core.dense.DenseProblem` fast path *and* accepts
-          a ``use_dense=False`` option selecting its object-path oracle
-          (the harness diffs the two bitwise);
         * ``"delta"`` — the solver consumes delta-maintained state (the
           shared pair-score matrix, the patched feasibility mask), so it
           must — and is checked to — produce bitwise-identical results on
@@ -161,82 +157,52 @@ def available_solver_specs(kind: str | None = None) -> list[SolverSpec]:
 # ----------------------------------------------------------------------
 # Built-in conference (CRA) solvers
 # ----------------------------------------------------------------------
-def _make_sm(use_dense: bool = True, **_: Any) -> CRASolver:
-    return StableMatchingSolver(use_dense=use_dense)
+def _make_sm(**_: Any) -> CRASolver:
+    return StableMatchingSolver()
 
 
 def _make_ilp_cra(**_: Any) -> CRASolver:
     return PairwiseILPSolver()
 
 
-def _make_brgg(use_dense: bool = True, **_: Any) -> CRASolver:
-    return BestReviewerGroupGreedySolver(use_dense=use_dense)
+def _make_brgg(**_: Any) -> CRASolver:
+    return BestReviewerGroupGreedySolver()
 
 
 def _make_greedy(
-    use_dense: bool = True,
-    prune: bool = True,
-    prune_width: int | None = None,
-    lazy_heap: bool | None = None,
-    **_: Any,
+    prune: bool = True, prune_width: int | None = None, **_: Any
 ) -> CRASolver:
-    # The object oracle for Greedy is the *naive* re-scan, not the lazy
-    # heap: the heap's stale records reorder exact-gain ties (a documented
-    # divergence the conformance harness pinned), so ``use_dense=False``
-    # selects true-argmax selection through the object layer.  Pass
-    # ``lazy_heap`` explicitly to override.
-    if lazy_heap is None:
-        lazy_heap = use_dense
-    return GreedySolver(
-        use_lazy_heap=lazy_heap,
-        use_dense=use_dense,
-        prune=prune,
-        prune_width=prune_width,
-    )
+    return GreedySolver(prune=prune, prune_width=prune_width)
 
 
-def _make_ratio_greedy(use_dense: bool = True, **_: Any) -> CRASolver:
-    return RatioGreedySolver(use_dense=use_dense)
+def _make_ratio_greedy(**_: Any) -> CRASolver:
+    return RatioGreedySolver()
 
 
-def _make_repair(
-    backend: str = "hungarian", use_dense: bool = True, **_: Any
-) -> CRASolver:
-    return RefillRepairSolver(backend=backend, use_dense=use_dense)
+def _make_repair(**_: Any) -> CRASolver:
+    return RefillRepairSolver()
 
 
-def _make_sdga(backend: str = "hungarian", use_dense: bool = True, **_: Any) -> CRASolver:
-    return StageDeepeningGreedySolver(backend=backend, use_dense=use_dense)
+def _make_sdga(**_: Any) -> CRASolver:
+    return StageDeepeningGreedySolver()
 
 
 def _make_sdga_sra(
-    convergence_window: int = 10,
-    seed: int | None = 7,
-    use_dense: bool = True,
-    **_: Any,
+    convergence_window: int = 10, seed: int | None = 7, **_: Any
 ) -> CRASolver:
     return SDGAWithRefinementSolver(
-        refiner=StochasticRefiner(
-            convergence_window=convergence_window, seed=seed, use_dense=use_dense
-        ),
-        base_solver=StageDeepeningGreedySolver(use_dense=use_dense),
+        refiner=StochasticRefiner(convergence_window=convergence_window, seed=seed),
+        base_solver=StageDeepeningGreedySolver(),
     )
 
 
-def _make_sdga_ls(use_dense: bool = True, **_: Any) -> CRASolver:
+def _make_sdga_ls(**_: Any) -> CRASolver:
     return SDGAWithLocalSearchSolver(
-        refiner=LocalSearchRefiner(use_dense=use_dense),
-        base_solver=StageDeepeningGreedySolver(use_dense=use_dense),
+        refiner=LocalSearchRefiner(), base_solver=StageDeepeningGreedySolver()
     )
 
 
-def _make_bid_sdga(
-    bids: Any = None,
-    tradeoff: float = 0.5,
-    backend: str = "hungarian",
-    use_dense: bool = True,
-    **_: Any,
-) -> CRASolver:
+def _make_bid_sdga(bids: Any = None, tradeoff: float = 0.5, **_: Any) -> CRASolver:
     # Imported here: repro.extensions sits above the service layer and
     # importing it eagerly would create a cycle through the engine.
     from repro.extensions.bidding import BidAwareObjective, BidAwareSDGASolver, BidMatrix
@@ -252,9 +218,7 @@ def _make_bid_sdga(
         for reviewer_id, paper_id, value in bids:
             matrix.set(str(reviewer_id), str(paper_id), float(value))
     return BidAwareSDGASolver(
-        objective=BidAwareObjective(bids=matrix, tradeoff=float(tradeoff)),
-        backend=backend,
-        use_dense=use_dense,
+        objective=BidAwareObjective(bids=matrix, tradeoff=float(tradeoff))
     )
 
 
@@ -269,7 +233,7 @@ register_solver(
         factory=_make_sm,
         description="stable-matching baseline (Long et al.)",
         aliases=("stable-matching",),
-        tags=("dense", "delta"),
+        tags=("delta",),
     )
 )
 register_solver(
@@ -287,7 +251,7 @@ register_solver(
         kind="cra",
         factory=_make_brgg,
         description="best reviewer group greedy baseline",
-        tags=("dense", "delta"),
+        tags=("delta",),
     )
 )
 register_solver(
@@ -296,7 +260,7 @@ register_solver(
         kind="cra",
         factory=_make_greedy,
         description="1/3-approximation pair greedy (Long et al. 2013)",
-        tags=("dense", "delta"),
+        tags=("delta",),
     )
 )
 register_solver(
@@ -306,7 +270,7 @@ register_solver(
         factory=_make_ratio_greedy,
         description="capacity-aware pair greedy (gain x remaining-workload fraction)",
         aliases=("ratio",),
-        tags=("dense", "delta"),
+        tags=("delta",),
     )
 )
 register_solver(
@@ -316,7 +280,7 @@ register_solver(
         factory=_make_repair,
         description="repair/refill pass run from an empty assignment",
         aliases=("refill",),
-        tags=("dense", "delta"),
+        tags=("delta",),
     )
 )
 register_solver(
@@ -325,7 +289,7 @@ register_solver(
         kind="cra",
         factory=_make_sdga,
         description="stage deepening greedy algorithm (the paper's 1/2-approx)",
-        tags=("dense", "delta"),
+        tags=("delta",),
     )
 )
 register_solver(
@@ -335,7 +299,7 @@ register_solver(
         factory=_make_sdga_sra,
         description="SDGA plus stochastic refinement (the paper's best method)",
         aliases=("SRA",),
-        tags=("dense", "delta"),
+        tags=("delta",),
     )
 )
 register_solver(
@@ -345,7 +309,7 @@ register_solver(
         factory=_make_sdga_ls,
         description="SDGA plus deterministic local-search refinement",
         aliases=("LS",),
-        tags=("dense", "delta"),
+        tags=("delta",),
     )
 )
 register_solver(
@@ -355,7 +319,7 @@ register_solver(
         factory=_make_bid_sdga,
         description="SDGA on the combined coverage + reviewer-bid objective",
         aliases=("bidding",),
-        tags=("dense", "delta"),
+        tags=("delta",),
     )
 )
 register_solver(
@@ -373,8 +337,8 @@ register_solver(
 # ----------------------------------------------------------------------
 # Built-in journal (JRA) solvers
 # ----------------------------------------------------------------------
-def _make_bba(top_k: int = 1, use_dense: bool = True, **_: Any) -> JRASolver:
-    return BranchAndBoundSolver(top_k=top_k, use_dense=use_dense)
+def _make_bba(top_k: int = 1, **_: Any) -> JRASolver:
+    return BranchAndBoundSolver(top_k=top_k)
 
 
 def _make_bfs(top_k: int = 1, **_: Any) -> JRASolver:
@@ -399,7 +363,7 @@ register_solver(
         kind="jra",
         factory=_make_bba,
         description="exact branch-and-bound (the paper's fast JRA solver)",
-        tags=("dense", "delta"),
+        tags=("delta",),
     )
 )
 register_solver(

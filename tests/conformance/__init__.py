@@ -6,9 +6,13 @@ scoring functions) and live mutation chains mixing all three mutation
 kinds (``with_additional_paper``, ``without_reviewer``, conflict edits),
 and held to three invariants:
 
-* **dense == object, bitwise** — solvers tagged ``"dense"`` expose a
-  ``use_dense=False`` object-path oracle; both paths must produce the
-  identical assignment and score.
+* **production == oracle, bitwise** — every non-exponential CRA solver
+  and BBA has one implementation, checked against
+  :mod:`tests.conformance.oracles`: a whole-solver oracle (Greedy,
+  Ratio-Greedy, SDGA-LS), or a run in which every input-kernel call is
+  shadow-checked against its object-layer construction.  The assignment
+  and score must be identical, on every grid cell and, against a cold
+  clone, on every mutation chain.
 * **delta-maintained == cold recompile, bitwise** — solving on a problem
   whose compiled caches were carried along a mutation chain must equal
   solving the same instance rebuilt from its entities with every cache

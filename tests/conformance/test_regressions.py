@@ -11,47 +11,38 @@ import pytest
 from repro.core.entities import Paper, Reviewer
 from repro.core.problem import WGRAPProblem
 from repro.core.vectors import TopicVector
-from repro.cra.greedy import GreedySolver
 from repro.service.engine import AssignmentEngine
 from repro.service.registry import create_solver
-from tests.conformance import GRID, apply_chain, cold_clone, make_instance
+from tests.conformance import GRID, apply_chain, make_instance
+from tests.conformance.oracles import (
+    conflicted_reviewers,
+    naive_greedy,
+    oracle_solve,
+    shadow_kernels,
+)
 
 
 class TestGreedyHeapTieDrift:
-    """Harness finding #1: the lazy heap is not a valid bitwise oracle.
+    """Harness finding #1: a lazy heap is not a valid bitwise oracle.
 
-    On the tie-heavy ``reviewer_coverage`` grid cell the heap's ulp-stale
-    records reorder exact-gain ties and cascade into a *different
-    assignment with a different score* (18.3497 vs 18.3628 at the time of
-    the finding) — a historical divergence PR 3 documented but the old
-    dense-vs-object comparison never covered.  The fix: Greedy's object
-    oracle is the naive true-argmax re-scan evaluated through the object
-    layer; the heap stays reachable explicitly (``lazy_heap=True``) as a
-    benchmark baseline.
+    On the tie-heavy ``reviewer_coverage`` grid cell a lazy heap's
+    ulp-stale records reorder exact-gain ties and cascade into a
+    *different assignment with a different score* (18.3497 vs 18.3628 at
+    the time of the finding).  The fix: Greedy's oracle is the naive
+    true-argmax re-scan evaluated through the object layer
+    (``oracles.naive_greedy``); the heap survives only as a private
+    baseline of the dense-kernel benchmark.
     """
 
     INSTANCE = "tie-heavy-reviewer-coverage"
 
-    def _mutated(self):
-        return apply_chain(make_instance(GRID[self.INSTANCE]), "interleaved-all-three")
-
     def test_dense_greedy_matches_naive_object_oracle_bitwise(self):
-        problem = self._mutated()
-        dense = create_solver("cra", "Greedy", use_dense=True).solve(problem)
-        oracle = create_solver("cra", "Greedy", use_dense=False).solve(problem)
-        assert dense.assignment == oracle.assignment
-        assert dense.score == oracle.score
-
-    def test_registry_object_oracle_is_the_naive_scan_not_the_heap(self):
-        solver = create_solver("cra", "Greedy", use_dense=False)
-        result = solver.solve(make_instance(GRID[self.INSTANCE]))
-        assert result.stats["strategy"] == "naive_object"
-
-    def test_heap_baseline_remains_reachable_and_valid(self):
-        problem = self._mutated()
-        heap = GreedySolver(use_lazy_heap=True, use_dense=False).solve(problem)
-        assert heap.stats["strategy"] == "lazy_heap"
-        cold_clone(problem).validate_assignment(heap.assignment)
+        problem = apply_chain(make_instance(GRID[self.INSTANCE]), "interleaved-all-three")
+        dense = create_solver("cra", "Greedy").solve(problem)
+        assignment, stats = naive_greedy(problem)
+        assert dense.assignment == assignment
+        assert dense.score == problem.assignment_score(assignment)
+        assert dense.stats["iterations"] == stats["iterations"]
 
 
 def _tiny_entities(num_topics: int = 3):
@@ -76,10 +67,10 @@ class TestStaleConflictEntriesAfterWithdrawal:
     The conflict container travels along mutation chains by id, so after
     ``without_reviewer`` it can still name reviewers no longer in the
     pool.  That crashed ``ExhaustiveSolver`` (KeyError on the index
-    lookup) and made BRGG's object path *under-count* availability
-    (``available = R - len(excluded)`` with phantom members in
-    ``excluded``), shrinking groups that the dense mask — which never sees
-    unknown ids — staffed in full.
+    lookup) and made BRGG's object-layer exclusions *under-count*
+    availability (``available = R - len(excluded)`` with phantom members
+    in ``excluded``), shrinking groups that the dense mask — which never
+    sees unknown ids — staffed in full.
     """
 
     def test_exhaustive_tolerates_conflicts_naming_withdrawn_reviewers(self):
@@ -102,12 +93,15 @@ class TestStaleConflictEntriesAfterWithdrawal:
         )
         problem.dense_view()
         derived = problem.without_reviewer("r2")
-        dense = create_solver("cra", "BRGG", use_dense=True).solve(derived)
-        oracle = create_solver("cra", "BRGG", use_dense=False).solve(derived)
         # The phantom "r2" entry used to push the object path's available
         # count below delta_p, forcing a partial group + a repair detour
         # (observable as repaired=True here, and as an outright
         # InfeasibleProblemError on conflict-dense instances).
+        assert conflicted_reviewers(derived, "p0") == set()
+        dense = create_solver("cra", "BRGG").solve(derived)
+        with shadow_kernels() as calls:
+            oracle = create_solver("cra", "BRGG").solve(derived)
+        assert calls["conflicted_reviewers"] > 0
         assert oracle.assignment == dense.assignment
         assert oracle.score == dense.score
         assert dict(oracle.stats) == dict(dense.stats)
@@ -134,15 +128,15 @@ class TestStaleConflictEntriesAfterWithdrawal:
 
 class TestConformanceSweepStaysClean:
     """The exact sweep cell that exposed finding #1 must stay clean for
-    every dense-tagged solver (cheap insurance against tie-order drift
-    reappearing through a kernel change)."""
+    each of these solvers (cheap insurance against tie-order drift reappearing
+    through a kernel change)."""
 
     @pytest.mark.parametrize("name", ["Greedy", "SDGA", "SM", "BRGG", "Ratio-Greedy", "Repair"])
     def test_tie_heavy_cell_dense_object_parity(self, name):
         problem = apply_chain(
             make_instance(GRID["tie-heavy-reviewer-coverage"]), "interleaved-all-three"
         )
-        dense = create_solver("cra", name, use_dense=True).solve(problem)
-        oracle = create_solver("cra", name, use_dense=False).solve(problem)
-        assert dense.assignment == oracle.assignment
-        assert dense.score == oracle.score
+        dense = create_solver("cra", name).solve(problem)
+        assignment, score = oracle_solve(name, problem)
+        assert dense.assignment == assignment
+        assert dense.score == score

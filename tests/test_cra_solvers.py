@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.assignment.transportation import solve_capacitated_assignment
 from repro.core.assignment import Assignment
 from repro.core.problem import WGRAPProblem
 from repro.cra.base import CRAResult
@@ -19,6 +20,7 @@ from repro.cra.sra import SDGAWithRefinementSolver, StochasticRefiner
 from repro.cra.stable_matching import StableMatchingSolver
 from repro.data.synthetic import make_problem
 from repro.exceptions import ConfigurationError
+from tests.conformance.oracles import naive_greedy, shadow_kernels
 from tests.conftest import exhaustive_optimal_assignment
 
 ALL_SOLVERS = [
@@ -128,9 +130,28 @@ class TestSDGADetails:
         assert problem.paper_score(result.assignment, "p1") >= 0.6 - 1e-9
 
     def test_flow_backend_matches_hungarian_backend(self, small_problem):
-        hungarian = StageDeepeningGreedySolver(backend="hungarian").solve(small_problem)
-        flow = StageDeepeningGreedySolver(backend="flow").solve(small_problem)
-        assert hungarian.score == pytest.approx(flow.score)
+        """Both exact backends solve every SDGA stage to the same profit."""
+        dense = small_problem.dense_view()
+        assignment = Assignment()
+        stage_gains = []
+        for _ in range(small_problem.group_size):
+            gains, forbidden, capacities = dense.stage_inputs(assignment)
+            hungarian = solve_capacitated_assignment(
+                gains, capacities, forbidden=forbidden, backend="hungarian"
+            )
+            flow = solve_capacitated_assignment(
+                gains, capacities, forbidden=forbidden, backend="flow"
+            )
+            assert hungarian.total_profit == pytest.approx(flow.total_profit)
+            stage_gains.append(float(hungarian.total_profit))
+            for paper_idx, reviewer_idx in enumerate(hungarian.row_to_col):
+                assignment.add(
+                    small_problem.reviewer_ids[reviewer_idx],
+                    small_problem.paper_ids[paper_idx],
+                )
+        sdga = StageDeepeningGreedySolver().solve(small_problem)
+        assert assignment == sdga.assignment
+        assert stage_gains == sdga.stats["stage_gains"]
 
     def test_respects_conflicts(self):
         problem = make_problem(
@@ -144,17 +165,14 @@ class TestSDGADetails:
 
 class TestGreedyDetails:
     def test_lazy_and_naive_strategies_agree(self, small_problem):
-        lazy = GreedySolver(use_lazy_heap=True).solve(small_problem)
-        naive = GreedySolver(use_lazy_heap=False).solve(small_problem)
-        assert lazy.score == pytest.approx(naive.score)
+        lazy = GreedySolver().solve(small_problem)
+        naive, _ = naive_greedy(small_problem)
+        assert lazy.assignment == naive
+        assert lazy.score == small_problem.assignment_score(naive)
 
     def test_stats_reflect_strategy(self, small_problem):
-        lazy = GreedySolver(use_lazy_heap=True).solve(small_problem)
-        heap = GreedySolver(use_lazy_heap=True, use_dense=False).solve(small_problem)
-        naive = GreedySolver(use_lazy_heap=False).solve(small_problem)
+        lazy = GreedySolver().solve(small_problem)
         assert lazy.stats["strategy"] == "dense_argmax"
-        assert heap.stats["strategy"] == "lazy_heap"
-        assert naive.stats["strategy"] == "naive"
         assert lazy.stats["iterations"] == small_problem.num_papers * small_problem.group_size
 
 
@@ -371,14 +389,15 @@ class TestStableMatchingLiveConflictEdits:
             num_papers=8, num_reviewers=8, num_topics=6, group_size=2,
             reviewer_workload=4, seed=7, conflict_ratio=0.0,
         )
-        dense_solver = StableMatchingSolver(use_dense=True)
-        object_solver = StableMatchingSolver(use_dense=False)
-        first = dense_solver.solve(problem)
+        solver = StableMatchingSolver()
+        first = solver.solve(problem)
         reviewer_id, paper_id = sorted(first.assignment.pairs())[-1]
         problem.conflicts.add(reviewer_id, paper_id)
-        assert dense_solver.solve(problem).assignment == (
-            object_solver.solve(problem).assignment
-        )
+        with shadow_kernels() as calls:
+            checked = solver.solve(problem)
+        assert calls["sm_preferences"] == 1
+        assert not checked.assignment.contains(reviewer_id, paper_id)
+        assert solver.solve(problem).assignment == checked.assignment
 
 
 class TestRatioGreedy:
@@ -403,7 +422,7 @@ class TestRatioGreedy:
             reviewer_workload=3, seed=11,
         )
         ratio = RatioGreedySolver().solve(problem)
-        greedy = GreedySolver(use_lazy_heap=False).solve(problem)
+        greedy = GreedySolver().solve(problem)
         assert ratio.stats["iterations"] >= 1
         # Both solvers pick the global max of the same (unweighted) gain
         # matrix on step one; equality of the full assignments is not

@@ -7,10 +7,8 @@ Two families of guarantees keep ``repro.core.dense`` honest:
   ``ScoringFunction.gain_vector``, ...) to 0 ulp across random instances
   and scoring functions;
 * **solver equivalence** — every solver rewired onto the dense view
-  returns an assignment identical to its pre-refactor object-path
-  behaviour (kept alongside as ``use_dense=False`` where the search logic
-  moved, or replicated here as a pinned reference where only the input
-  staging moved).
+  returns an assignment identical to its object-layer oracle in
+  :mod:`tests.conformance.oracles`.
 """
 
 from __future__ import annotations
@@ -28,6 +26,7 @@ from repro.cra.stable_matching import StableMatchingSolver
 from repro.data.synthetic import make_problem
 from repro.jra.topk import find_top_k_groups
 from repro.service.cache import ScoreMatrixCache
+from tests.conformance import oracles
 
 
 def _instance(seed: int, scoring: str | None = None, conflict_ratio: float = 0.06):
@@ -148,44 +147,12 @@ class TestDenseKernels:
                 else _partial_assignment(problem, seed + per_paper, per_paper)
             )
             gains, forbidden, capacities = dense.stage_inputs(assignment)
-            ref_gains, ref_forbidden, ref_capacities = _reference_stage_inputs(
+            ref_gains, ref_forbidden, ref_capacities = oracles.stage_inputs(
                 problem, assignment
             )
             assert np.array_equal(gains, ref_gains)
             assert np.array_equal(forbidden, ref_forbidden)
             assert np.array_equal(capacities, ref_capacities)
-
-
-def _reference_stage_inputs(problem, assignment):
-    """The pre-refactor per-pair Python staging of SDGA stages."""
-    num_papers = problem.num_papers
-    num_reviewers = problem.num_reviewers
-    gains = np.zeros((num_papers, num_reviewers), dtype=np.float64)
-    forbidden = np.zeros((num_papers, num_reviewers), dtype=bool)
-    for paper_idx, paper_id in enumerate(problem.paper_ids):
-        group_vector = problem.group_vector(assignment, paper_id)
-        gains[paper_idx] = problem.scoring.gain_vector(
-            group_vector, problem.reviewer_matrix, problem.paper_matrix[paper_idx]
-        )
-        current_group = assignment.reviewers_of(paper_id)
-        conflicted = problem.conflicts.reviewers_conflicting_with(paper_id)
-        for reviewer_idx, reviewer_id in enumerate(problem.reviewer_ids):
-            if reviewer_id in current_group or reviewer_id in conflicted:
-                forbidden[paper_idx, reviewer_idx] = True
-    remaining = np.maximum(
-        np.array(
-            [
-                problem.reviewer_workload - assignment.load(reviewer_id)
-                for reviewer_id in problem.reviewer_ids
-            ],
-            dtype=np.int64,
-        ),
-        0,
-    )
-    capacities = np.minimum(problem.stage_workload, remaining)
-    if int(capacities.sum()) < num_papers:
-        capacities = remaining
-    return gains, forbidden, capacities
 
 
 # ----------------------------------------------------------------------
@@ -208,26 +175,13 @@ class TestRewiredSolversMatchObjectPath:
             group_size=group_size,
             conflict_ratio=0.08,
         )
-        dense_result = GreedySolver(use_dense=True).solve(
-            make_problem(seed=seed, **kwargs)
-        )
-        naive_result = GreedySolver(use_lazy_heap=False).solve(
-            make_problem(seed=seed, **kwargs)
-        )
-        assert dense_result.assignment == naive_result.assignment
-        assert dense_result.score == naive_result.score
-        assert (
-            dense_result.stats["iterations"] == naive_result.stats["iterations"]
-        )
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_greedy_dense_equals_object_heap(self, seed):
-        """On tie-free instances the dense path also matches the lazy heap."""
-        dense_result = GreedySolver(use_dense=True).solve(_instance(seed))
-        object_result = GreedySolver(use_dense=False).solve(_instance(seed))
-        assert dense_result.assignment == object_result.assignment
-        assert dense_result.score == object_result.score
-        assert dense_result.stats["repaired"] == object_result.stats["repaired"]
+        dense_result = GreedySolver().solve(make_problem(seed=seed, **kwargs))
+        problem = make_problem(seed=seed, **kwargs)
+        naive_assignment, naive_stats = oracles.naive_greedy(problem)
+        assert dense_result.assignment == naive_assignment
+        assert dense_result.score == problem.assignment_score(naive_assignment)
+        assert dense_result.stats["iterations"] == naive_stats["iterations"]
+        assert dense_result.stats["repaired"] == naive_stats["repaired"]
 
     @pytest.mark.parametrize("moves", ["all", "replace", "exchange"])
     @pytest.mark.parametrize("seed", range(3))
@@ -235,11 +189,11 @@ class TestRewiredSolversMatchObjectPath:
         problem = _instance(seed, conflict_ratio=0.1)
         base = StageDeepeningGreedySolver().solve(problem).assignment
         refined_dense, stats_dense = LocalSearchRefiner(
-            max_rounds=4, moves=moves, use_dense=True
+            max_rounds=4, moves=moves
         ).refine(problem, base)
-        refined_object, stats_object = LocalSearchRefiner(
-            max_rounds=4, moves=moves, use_dense=False
-        ).refine(problem, base)
+        refined_object, stats_object = oracles.local_search_refine(
+            problem, base, max_rounds=4, moves=moves
+        )
         assert refined_dense == refined_object
         assert stats_dense["final_score"] == stats_object["final_score"]
         assert stats_dense["moves_applied"] == stats_object["moves_applied"]
@@ -252,7 +206,7 @@ class TestRewiredSolversMatchObjectPath:
             convergence_window=50, max_rounds=6, seed=9, probability_model=model
         )
         refined, stats = refiner.refine(problem, base)
-        reference, reference_score = _reference_sra_refine(
+        reference, reference_score = oracles.sra_refine(
             problem, base, rounds=6, seed=9, probability_model=model,
             decay=0.05,
         )
@@ -262,18 +216,9 @@ class TestRewiredSolversMatchObjectPath:
     @pytest.mark.parametrize("seed", range(3))
     def test_stable_matching_preferences_match_reference(self, seed):
         problem = _instance(seed, conflict_ratio=0.12)
-        dense = problem.dense_view()
-        pair_scores = dense.pair_scores()
-        for paper_idx, paper_id in enumerate(problem.paper_ids):
-            order = np.argsort(-pair_scores[:, paper_idx], kind="stable")
-            forbidden = problem.conflicts.reviewers_conflicting_with(paper_id)
-            reference = [
-                int(reviewer_idx)
-                for reviewer_idx in order
-                if problem.reviewer_ids[reviewer_idx] not in forbidden
-            ]
-            compiled = order[dense.feasible[order, paper_idx]].tolist()
-            assert compiled == reference
+        pair_scores = problem.pair_score_matrix()
+        compiled = StableMatchingSolver._preferences_dense(problem, pair_scores)
+        assert compiled == oracles.sm_preferences(problem, pair_scores)
         # and the full solve still produces a valid, repair-free matching
         result = StableMatchingSolver().solve(problem)
         problem.validate_assignment(result.assignment)
@@ -298,81 +243,6 @@ class TestRewiredSolversMatchObjectPath:
         assert [entry.score for entry in bba] == pytest.approx(
             [entry.score for entry in shortlist], abs=0.0
         )
-
-
-def _reference_sra_refine(problem, assignment, rounds, seed, probability_model, decay):
-    """The pre-refactor stochastic-refinement loop (object path), pinned."""
-    rng = np.random.default_rng(seed)
-    pair_scores = problem.pair_score_matrix()
-    reviewer_mass = pair_scores.sum(axis=1)
-    reviewer_mass = np.where(reviewer_mass > 0.0, reviewer_mass, 1.0)
-    current = assignment.copy()
-    best = assignment.copy()
-    best_score = problem.assignment_score(best)
-    num_reviewers = problem.num_reviewers
-    uniform_floor = 1.0 / num_reviewers
-
-    from repro.assignment.transportation import solve_capacitated_assignment
-
-    for round_index in range(1, rounds + 1):
-        decay_factor = (
-            float(np.exp(-decay * round_index)) if probability_model == "decayed" else 1.0
-        )
-        for paper_id in problem.paper_ids:
-            members = sorted(current.reviewers_of(paper_id))
-            if not members:
-                continue
-            paper_idx = problem.paper_index(paper_id)
-            keep = np.empty(len(members), dtype=np.float64)
-            for position, reviewer_id in enumerate(members):
-                reviewer_idx = problem.reviewer_index(reviewer_id)
-                if probability_model == "uniform":
-                    keep[position] = uniform_floor
-                    continue
-                data_driven = (
-                    decay_factor
-                    * pair_scores[reviewer_idx, paper_idx]
-                    / reviewer_mass[reviewer_idx]
-                )
-                keep[position] = max(uniform_floor, data_driven)
-            removal = 1.0 - keep / keep.sum()
-            if removal.sum() <= 0.0:
-                removal = np.full(len(members), 1.0 / len(members))
-            else:
-                removal = removal / removal.sum()
-            victim = rng.choice(len(members), p=removal)
-            current.remove(members[int(victim)], paper_id)
-
-        gains = np.zeros((problem.num_papers, num_reviewers), dtype=np.float64)
-        forbidden = np.zeros_like(gains, dtype=bool)
-        for paper_idx, paper_id in enumerate(problem.paper_ids):
-            group_vector = problem.group_vector(current, paper_id)
-            gains[paper_idx] = problem.scoring.gain_vector(
-                group_vector, problem.reviewer_matrix, problem.paper_matrix[paper_idx]
-            )
-            group = current.reviewers_of(paper_id)
-            conflicted = problem.conflicts.reviewers_conflicting_with(paper_id)
-            for reviewer_idx, reviewer_id in enumerate(problem.reviewer_ids):
-                if reviewer_id in group or reviewer_id in conflicted:
-                    forbidden[paper_idx, reviewer_idx] = True
-        capacities = np.array(
-            [
-                problem.reviewer_workload - current.load(reviewer_id)
-                for reviewer_id in problem.reviewer_ids
-            ],
-            dtype=np.int64,
-        )
-        result = solve_capacitated_assignment(
-            gains, np.maximum(capacities, 0), forbidden=forbidden, backend="hungarian"
-        )
-        for paper_idx, reviewer_idx in enumerate(result.row_to_col):
-            current.add(problem.reviewer_ids[reviewer_idx], problem.paper_ids[paper_idx])
-
-        current_score = problem.assignment_score(current)
-        if current_score > best_score + 1e-12:
-            best = current.copy()
-            best_score = current_score
-    return best, best_score
 
 
 # ----------------------------------------------------------------------
