@@ -6,7 +6,7 @@ replaces:
 
 * **journal-query throughput**, cold (a fresh engine per query, as the
   batch CLI behaves) vs. warm (one resident engine whose score matrix,
-  top-k indexes and JRA sub-problems persist across queries);
+  top-k indexes and journal answer memo persist across queries);
 * **incremental-update latency**, applying a late paper / a reviewer
   withdrawal through the engine (one score column appended / one row
   dropped) vs. rebuilding the problem and the full score matrix from
@@ -76,7 +76,7 @@ def run_journal_throughput() -> ExperimentTable:
     cold_elapsed = time.perf_counter() - started
 
     engine = AssignmentEngine(problem).warm()
-    for paper_id in paper_ids:  # first pass populates the JRA cache
+    for paper_id in paper_ids:  # first pass populates the answer memo
         engine.journal_query(paper_id)
     started = time.perf_counter()
     for paper_id in paper_ids:

@@ -1006,9 +1006,9 @@ class JRAProblem:
         ``t``, ``sorted_reviewers[t]`` lists reviewer indices by expertise
         on ``t`` in descending order (stable, so ties keep index order)
         and ``sorted_values[t]`` the corresponding weights.  Cached on the
-        instance because the engine's JRA sub-problem cache re-solves the
-        same instance across journal queries — the ``O(T * R log R)``
-        pre-sort is then paid once, not per query.
+        instance, so every solve of one sub-problem (a top-k search and
+        its pruned fallback, repeated solver calls) pays the
+        ``O(T * R log R)`` pre-sort once.
         """
         if self._sorted_topic_lists is None:
             order = np.argsort(-self.reviewer_matrix, axis=0, kind="stable").T

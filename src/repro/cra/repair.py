@@ -11,7 +11,9 @@ This module completes such assignments:
 * when a paper is *deadlocked* — the only reviewers with spare capacity are
   already in its group — with a single augmenting swap that moves a member
   of another paper's group over and back-fills that paper with a
-  spare-capacity reviewer, which preserves every constraint.
+  spare-capacity reviewer, which preserves every constraint; when no
+  single swap exists, with the longer chain of such moves a shortest
+  augmenting path finds, which exists whenever a complete assignment does.
 
 When the assignment is already complete the repair is a no-op.  The input
 assignment is never modified; a completed copy is returned.
@@ -29,6 +31,7 @@ them bitwise against an object-layer construction.
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Any
 
 import numpy as np
@@ -42,24 +45,31 @@ from repro.exceptions import InfeasibleProblemError
 __all__ = ["complete_assignment", "RefillRepairSolver"]
 
 
-def complete_assignment(problem: WGRAPProblem, assignment: Assignment) -> Assignment:
-    """Fill every under-staffed paper up to ``delta_p`` reviewers.
+def complete_assignment(
+    problem: WGRAPProblem, assignment: Assignment, group_size: int | None = None
+) -> Assignment:
+    """Fill every under-staffed paper up to ``group_size`` reviewers.
+
+    ``group_size`` defaults to ``delta_p``; SDGA passes a smaller target
+    to fill a single stage it cannot solve as one matching.
 
     Raises
     ------
     InfeasibleProblemError
         If the remaining capacity cannot cover the missing slots even with
-        augmenting swaps (which a validated :class:`WGRAPProblem` rules out
-        unless conflicts of interest are extremely dense).
+        augmenting paths, i.e. the instance has no complete assignment
+        (which a validated :class:`WGRAPProblem` rules out unless conflicts
+        of interest are extremely dense).
     """
+    target = problem.group_size if group_size is None else group_size
     completed = assignment.copy()
-    safety_budget = problem.num_papers * problem.group_size + 1
+    safety_budget = problem.num_papers * target + 1
 
     for _ in range(safety_budget):
         missing = [
             paper_id
             for paper_id in problem.paper_ids
-            if completed.group_size(paper_id) < problem.group_size
+            if completed.group_size(paper_id) < target
         ]
         if not missing:
             return completed
@@ -81,16 +91,30 @@ def complete_assignment(problem: WGRAPProblem, assignment: Assignment) -> Assign
         deadlocked = [missing[row] for row in np.flatnonzero(forbidden.all(axis=1))]
         if deadlocked:
             for paper_id in deadlocked:
-                if not _resolve_deadlock(problem, completed, paper_id):
+                if not (
+                    _resolve_deadlock(problem, completed, paper_id)
+                    or _augment(problem, completed, paper_id)
+                ):
                     raise InfeasibleProblemError(
                         f"paper {paper_id!r} cannot be completed: every reviewer with "
                         "spare capacity is already in its group or conflicted"
                     )
             continue  # loads changed; rebuild the refill inputs
 
-        result = solve_capacitated_assignment(
-            gains, np.maximum(capacities, 0), forbidden=forbidden
-        )
+        try:
+            result = solve_capacitated_assignment(
+                gains, np.maximum(capacities, 0), forbidden=forbidden
+            )
+        except InfeasibleProblemError:
+            # No paper is deadlocked, yet no one-reviewer-per-paper matching
+            # exists (some set of short papers shares too few open
+            # reviewers).  Staff the first short paper with its best open
+            # reviewer; the papers this leaves deadlocked are freed by
+            # swaps in the next rounds.
+            open_rows = np.flatnonzero(~forbidden[0])
+            best = int(open_rows[np.argmax(gains[0, open_rows])])
+            completed.add(problem.reviewer_ids[best], missing[0])
+            continue
         for row, paper_id in enumerate(missing):
             completed.add(problem.reviewer_ids[result.row_to_col[row]], paper_id)
 
@@ -163,6 +187,56 @@ def _resolve_deadlock(
                 assignment.add(candidate, paper_id)
                 assignment.add(spare, other_paper)
                 return True
+    return False
+
+
+def _augment(problem: WGRAPProblem, assignment: Assignment, paper_id: str) -> bool:
+    """Give ``paper_id`` one more reviewer along a shortest augmenting path.
+
+    The general form of :func:`_resolve_deadlock`'s swap: ``paper_id``
+    takes a reviewer ``r1`` from paper ``q1``, ``q1`` takes ``r2`` from
+    ``q2``, ..., and the last paper takes a reviewer with spare capacity.
+    Every other paper keeps its group size and every load stays within
+    the workload.  Breadth-first search over papers and reviewers (each
+    visited once, in id order) finds the path; by the max-flow augmenting
+    path theorem one exists whenever the instance has a complete
+    assignment.  Returns ``False`` when there is none.  Callers try the
+    single swap first: it is cheaper, and its own choice order decides
+    which swap is made whenever one exists.
+    """
+    workload = problem.reviewer_workload
+    joins: dict[str, str] = {}  # reviewer -> the paper it moves into
+    hands_over: dict[str, str] = {}  # paper -> the reviewer it gives up
+    seen_reviewers: set[str] = set()
+    seen_papers = {paper_id}
+    queue = deque([paper_id])
+    while queue:
+        paper = queue.popleft()
+        group = assignment.reviewers_of(paper)
+        for reviewer in problem.reviewer_ids:
+            if (
+                reviewer in seen_reviewers
+                or reviewer in group
+                or not problem.is_feasible_pair(reviewer, paper)
+            ):
+                continue
+            seen_reviewers.add(reviewer)
+            joins[reviewer] = paper
+            if assignment.load(reviewer) < workload:
+                # Unwind: each paper on the path takes the next reviewer
+                # and gives up the one that led the search to it.
+                while True:
+                    target = joins[reviewer]
+                    assignment.add(reviewer, target)
+                    if target == paper_id:
+                        return True
+                    reviewer = hands_over[target]
+                    assignment.remove(reviewer, target)
+            for other in sorted(assignment.papers_of(reviewer)):
+                if other not in seen_papers:
+                    seen_papers.add(other)
+                    hands_over[other] = reviewer
+                    queue.append(other)
     return False
 
 

@@ -14,6 +14,10 @@ substantial improvement over the 1/3 guarantee of the pair-greedy baseline.
 
 Each stage is solved exactly by the Hungarian backend of
 :func:`~repro.assignment.transportation.solve_capacitated_assignment`.
+On a zero-slack instance a late stage can have no conflict-free,
+member-free matching at all; that stage is then filled by the repair
+pass of :func:`~repro.cra.repair.complete_assignment`, whose augmenting
+swaps staff every paper while keeping all constraints.
 """
 
 from __future__ import annotations
@@ -24,6 +28,8 @@ from repro.assignment.transportation import solve_capacitated_assignment
 from repro.core.assignment import Assignment
 from repro.core.problem import WGRAPProblem
 from repro.cra.base import CRASolver
+from repro.cra.repair import complete_assignment
+from repro.exceptions import InfeasibleProblemError
 from repro.obs.trace import get_tracer
 
 TRACER = get_tracer()
@@ -41,7 +47,7 @@ class StageDeepeningGreedySolver(CRASolver):
         stage_gains: list[float] = []
         for stage in range(problem.group_size):
             with TRACER.span("sdga.stage", stage=stage) as stage_span:
-                gain = self._run_stage(problem, assignment)
+                gain = self._run_stage(problem, assignment, stage)
                 stage_span.set(gain=round(gain, 6))
             stage_gains.append(gain)
         return assignment, {"stages": problem.group_size, "stage_gains": stage_gains}
@@ -50,7 +56,7 @@ class StageDeepeningGreedySolver(CRASolver):
     # One Stage-WGRAP step
     # ------------------------------------------------------------------
     @staticmethod
-    def _run_stage(problem: WGRAPProblem, assignment: Assignment) -> float:
+    def _run_stage(problem: WGRAPProblem, assignment: Assignment, stage: int) -> float:
         """Assign one more reviewer to every paper, in place; returns the gain.
 
         * Gains are marginal coverage gains relative to the groups formed in
@@ -71,11 +77,23 @@ class StageDeepeningGreedySolver(CRASolver):
           one reviewer per paper (possible in the non-integral case's final
           stage), the global remainder is the binding constraint
           (Section 4.3.2) and is used instead.
+        * When no matching exists at all (zero slack: the reviewers with
+          capacity left are members of, or conflicted with, the papers
+          that need them), the stage is filled to ``stage + 1`` reviewers
+          per paper by :func:`complete_assignment`, and the stage's gain is
+          the change in total coverage.
         """
-        gains, forbidden, capacities = problem.dense_view().stage_inputs(
-            assignment, stage_capped=True
-        )
-        result = solve_capacitated_assignment(gains, capacities, forbidden=forbidden)
+        dense = problem.dense_view()
+        gains, forbidden, capacities = dense.stage_inputs(assignment, stage_capped=True)
+        try:
+            result = solve_capacitated_assignment(gains, capacities, forbidden=forbidden)
+        except InfeasibleProblemError:
+            before = dense.assignment_score(assignment)
+            filled = complete_assignment(problem, assignment, group_size=stage + 1)
+            for paper_id in problem.paper_ids:
+                assignment.clear_paper(paper_id)
+            assignment.update(filled)
+            return dense.assignment_score(assignment) - before
         for paper_idx, reviewer_idx in enumerate(result.row_to_col):
             assignment.add(
                 problem.reviewer_ids[reviewer_idx], problem.paper_ids[paper_idx]

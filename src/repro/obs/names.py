@@ -59,7 +59,8 @@ METRIC_NAMES: dict[str, str] = {
     "engine.solves": "completed AssignmentEngine.solve calls",
     "engine.portfolio_solves": "completed solve_portfolio calls",
     "engine.journal_queries": "journal queries answered",
-    "engine.journal_cache_hits": "journal answers served from the JRA problem cache",
+    "engine.journal_cache_hits": "journal answers served from the answer memo",
+    "engine.journal_memo_drops": "journal answer-memo drops that discarded entries",
     "engine.add_paper": "papers added (net of rollbacks)",
     "engine.remove_reviewer": "reviewers withdrawn (net of rollbacks)",
     "engine.bid_updates": "bid records applied",

@@ -16,8 +16,9 @@ work across requests:
   (:class:`~repro.service.cache.ScoreMatrixCache`) is repaired
   incrementally — one column per late paper, zero re-scoring per
   withdrawal — instead of rebuilt;
-* journal queries reuse cached per-paper JRA sub-problems and can prune
-  their candidate pool with the cache's top-k reviewer index;
+* journal answers are memoized: a repeated query is answered without
+  running a solver while nothing it depends on has changed, and a miss
+  can prune its candidate pool with the cache's top-k reviewer index;
 * conference solves, incremental mutations and evaluation all go through
   the string-keyed solver registry, so requests can name solvers.
 
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 import time
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any
 
 import numpy as np
@@ -38,6 +39,7 @@ from repro.core.assignment import Assignment
 from repro.core.entities import Paper
 from repro.core.problem import JRAProblem, ProblemMutation, WGRAPProblem
 from repro.cra.base import CRAResult
+from repro.cra.ideal import ideal_assignment
 from repro.cra.repair import complete_assignment
 from repro.data.io import (
     EngineSnapshot,
@@ -53,7 +55,9 @@ from repro.exceptions import (
 from repro.extensions.bidding import BidAwareObjective, BidAwareSDGASolver, BidMatrix, bid_satisfaction
 from repro.fault import get_failpoints
 from repro.jra.topk import RankedGroup, find_top_k_groups
-from repro.metrics.quality import lowest_coverage_score, optimality_ratio
+# Unused here (evaluate scores from the dense view); kept importable from
+# this module because perfbench's trace launcher wraps it by this name.
+from repro.metrics.quality import lowest_coverage_score  # noqa: F401
 from repro.obs.metrics import MetricsRegistry, get_registry
 from repro.obs.trace import get_tracer
 from repro.parallel.config import ParallelConfig
@@ -110,7 +114,8 @@ class JournalAnswer:
         Highest-scoring individual reviewers from the cached score matrix
         (empty for inline papers that are not part of the problem).
     cache_hit:
-        Whether the JRA sub-problem came from the engine's cache.
+        Whether the answer came from the engine's answer memo, i.e. no
+        solver ran for this query.
     solver:
         Canonical name of the solver that answered the query.
     elapsed_seconds:
@@ -196,6 +201,7 @@ class AssignmentEngine:
         "portfolio_solves",
         "journal_queries",
         "journal_cache_hits",
+        "journal_memo_drops",
         "add_paper",
         "remove_reviewer",
         "bid_updates",
@@ -236,9 +242,12 @@ class AssignmentEngine:
             parallel=parallel,
             storage=store.matrix_backend() if store is not None else None,
         )
-        self._jra_cache: dict[tuple[str, int, int | None], JRAProblem] = {}
-        #: conflict version the JRA sub-problem cache is valid for
-        self._jra_cache_version = problem.conflicts.version
+        #: whole journal answers, keyed by every parameter that shapes one
+        #: (see :meth:`_journal_query`); valid while reviewers and the
+        #: conflict set stay unchanged
+        self._journal_memo: dict[tuple[Any, ...], JournalAnswer] = {}
+        #: conflict version the answer memo is valid for
+        self._journal_memo_version = problem.conflicts.version
         self._revision = 0
         # All counters live in the metrics registry under ``engine.*``;
         # ``stats()`` derives the historical flat keys from them.
@@ -375,8 +384,14 @@ class AssignmentEngine:
         self._assignment_valid_at = None
         if mutation.kind == "remove_reviewer":
             # Candidate pools changed for every paper.
-            self._jra_cache.clear()
-            self._jra_cache_version = self._problem.conflicts.version
+            self._drop_journal_memo()
+
+    def _drop_journal_memo(self) -> None:
+        """Forget every memoized journal answer."""
+        if self._journal_memo:
+            self._journal_memo.clear()
+            self._count("journal_memo_drops")
+        self._journal_memo_version = self._problem.conflicts.version
 
     # ------------------------------------------------------------------
     # Conference solve
@@ -519,6 +534,14 @@ class AssignmentEngine:
         shortlist_size:
             How many individually top-scoring reviewers to report alongside
             the optimal group (0 disables the shortlist).
+
+        Answers for papers of the problem are memoized under every
+        parameter above (solver by canonical name), so a repeated query
+        runs no solver.  The memo survives added papers and bid updates,
+        which leave an existing paper's pool, score column and shortlist
+        as they were, and is dropped when a reviewer is withdrawn (or the
+        withdrawal rolled back) and when the conflict set's version moves.
+        Inline papers are never memoized.
         """
         with TRACER.span("engine.journal_query") as span:
             answer = self._journal_query(
@@ -574,7 +597,6 @@ class AssignmentEngine:
                 "add the paper to the problem first"
             )
 
-        cache_hit = False
         if inline:
             jra = JRAProblem(
                 paper=paper_obj,
@@ -583,21 +605,21 @@ class AssignmentEngine:
                 scoring=self._problem.scoring,
             )
         else:
-            # Conflict edits on the live container change candidate pools,
-            # and a stale sub-problem would silently keep serving the old
-            # exclusions — drop the whole cache when the version moved
-            # (bounded memory: entries for dead versions never linger).
-            if self._jra_cache_version != self._problem.conflicts.version:
-                self._jra_cache.clear()
-                self._jra_cache_version = self._problem.conflicts.version
-            key = (paper_id, size, pool_size)
-            cached = self._jra_cache.get(key)
-            if cached is not None:
-                jra = cached
-                cache_hit = True
-            else:
-                jra = self._build_jra(paper_obj, size, pool_size)
-                self._jra_cache[key] = jra
+            # Adding papers and bids leaves an existing paper's pool, score
+            # column and shortlist untouched, so its answers stay valid;
+            # withdrawals drop the memo (see _on_mutation), and so does a
+            # conflict edit on the live container, caught here by version.
+            if self._journal_memo_version != self._problem.conflicts.version:
+                self._drop_journal_memo()
+            key = (paper_id, size, pool_size, spec.name, top_k, prune, shortlist_size)
+            memo = self._journal_memo.get(key)
+            if memo is not None:
+                self._count("journal_queries")
+                self._count("journal_cache_hits")
+                return replace(
+                    memo, cache_hit=True, elapsed_seconds=time.perf_counter() - started
+                )
+            jra = self._build_jra(paper_obj, size, pool_size)
 
         if prune is not None:
             groups = tuple(
@@ -633,16 +655,17 @@ class AssignmentEngine:
             shortlist = tuple(self._cache.top_reviewers(paper_id, shortlist_size))
 
         self._count("journal_queries")
-        if cache_hit:
-            self._count("journal_cache_hits")
-        return JournalAnswer(
+        answer = JournalAnswer(
             paper_id=paper_id,
             groups=groups,
             shortlist=shortlist,
-            cache_hit=cache_hit,
+            cache_hit=False,
             solver=spec.name,
             elapsed_seconds=time.perf_counter() - started,
         )
+        if not inline:
+            self._journal_memo[key] = answer
+        return answer
 
     def _candidate_scores_for(self, jra: JRAProblem, paper_id: str) -> Any:
         """The cached score-column entries aligned with a JRA candidate pool.
@@ -947,7 +970,7 @@ class AssignmentEngine:
                 # The store's listener already applied the withdrawal;
                 # re-attaching to the pre-mutation problem rebases it.
                 self._store.attach(problem)
-            self._jra_cache.clear()
+            self._drop_journal_memo()
             self._revision -= 1
             self._count("remove_reviewer", -1)
             raise
@@ -1001,20 +1024,26 @@ class AssignmentEngine:
                 "the engine has no assignment yet; run a solve first"
             )
         problem = self._problem
-        score = problem.assignment_score(self._assignment)
+        dense = problem.dense_view()
+        # One batched per-paper vector (bitwise-equal to the object path's
+        # paper_score calls); score is its left-to-right Python sum, exactly
+        # as WGRAPProblem.assignment_score adds the per-paper scores.
+        per_paper = dense.paper_scores(dense.group_vectors(self._assignment)).tolist()
+        score = float(sum(per_paper))
         payload: dict[str, Any] = {
             "score": score,
             "mean_coverage": score / problem.num_papers,
-            "lowest_coverage": lowest_coverage_score(problem, self._assignment),
+            "lowest_coverage": min(per_paper),
             "num_papers": problem.num_papers,
             "num_reviewers": problem.num_reviewers,
             "num_pairs": len(self._assignment),
             "solver": self._last_solver,
         }
         if include_ratio:
-            payload["optimality_ratio"] = optimality_ratio(problem, self._assignment)
+            ideal = ideal_assignment(problem)
+            payload["optimality_ratio"] = 1.0 if ideal.score <= 0.0 else score / ideal.score
         if include_per_paper:
-            payload["per_paper"] = problem.paper_scores(self._assignment)
+            payload["per_paper"] = dict(zip(problem.paper_ids, per_paper))
         if len(self._bids):
             payload["bid_satisfaction"] = bid_satisfaction(self._assignment, self._bids)
         self._count("evaluations")
@@ -1078,8 +1107,9 @@ class AssignmentEngine:
         (``delta_applies``, ``recompiles``, ``conflict_patches``) and the
         exact-pruning outcomes (``prune_certified``, ``prune_fallbacks``)
         accumulated across the whole mutation chain the engine has served.
-        The historical flat keys are kept; the ``metrics`` block is the
-        full registry snapshot (latency histograms included).
+        The historical flat keys are kept; latency histograms and the
+        rest of the registry are served by :meth:`metrics_snapshot` (the
+        ``metrics`` wire kind), not embedded here.
         """
         return {
             "revision": self._revision,
@@ -1087,7 +1117,7 @@ class AssignmentEngine:
             "last_solver": self._last_solver,
             "last_score": self._last_score,
             "num_bids": len(self._bids),
-            "jra_problems_cached": len(self._jra_cache),
+            "journal_answers_cached": len(self._journal_memo),
             "parallel_workers": (
                 self._parallel.resolved_workers() if self._parallel is not None else 1
             ),
@@ -1097,7 +1127,6 @@ class AssignmentEngine:
             "store": (
                 self._store if self._store is not None else self._problem.entity_store
             ).describe(),
-            "metrics": self.metrics_snapshot(),
         }
 
     def to_snapshot(self) -> dict[str, Any]:

@@ -38,6 +38,7 @@ __all__ = [
     "GRID",
     "TINY",
     "CHAINS",
+    "CHAIN_STEPS",
     "apply_chain",
     "cold_clone",
     "late_paper",
@@ -110,28 +111,68 @@ def late_paper(problem: WGRAPProblem, tag: str) -> Paper:
     return Paper(id=tag, vector=rng.dirichlet(np.full(problem.num_topics, 0.7)))
 
 
-def _chain_interleaved(problem: WGRAPProblem, tag: str) -> WGRAPProblem:
-    """add -> conflict add -> withdraw -> conflict discard -> add."""
-    current = problem.with_additional_paper(late_paper(problem, f"{tag}-a"))
-    current.conflicts.add(current.reviewer_ids[0], f"{tag}-a")
-    current = current.without_reviewer(current.reviewer_ids[3])
-    current.conflicts.discard(current.reviewer_ids[0], f"{tag}-a")
-    return current.with_additional_paper(late_paper(current, f"{tag}-b"))
+def _add_late(suffix: str):
+    def step(problem: WGRAPProblem, tag: str) -> WGRAPProblem:
+        return problem.with_additional_paper(late_paper(problem, f"{tag}-{suffix}"))
+
+    return step
 
 
-def _chain_withdraw_first(problem: WGRAPProblem, tag: str) -> WGRAPProblem:
-    """withdraw -> add -> conflict add (left in place)."""
-    current = problem.without_reviewer(problem.reviewer_ids[-1])
-    current = current.with_additional_paper(late_paper(current, f"{tag}-a"))
-    current.conflicts.add(current.reviewer_ids[1], current.paper_ids[0])
-    return current
+def _withdraw(position: int):
+    def step(problem: WGRAPProblem, tag: str) -> WGRAPProblem:
+        return problem.without_reviewer(problem.reviewer_ids[position])
+
+    return step
+
+
+def _edit_conflict(reviewer_position: int, paper: str | int, add: bool):
+    """A live conflict edit; ``paper`` is a late-paper suffix or an index."""
+
+    def step(problem: WGRAPProblem, tag: str) -> WGRAPProblem:
+        reviewer_id = problem.reviewer_ids[reviewer_position]
+        paper_id = problem.paper_ids[paper] if isinstance(paper, int) else f"{tag}-{paper}"
+        if add:
+            problem.conflicts.add(reviewer_id, paper_id)
+        else:
+            problem.conflicts.discard(reviewer_id, paper_id)
+        return problem
+
+    return step
+
+
+#: Mutation chains as ordered steps ``(problem, tag) -> problem``, so a
+#: test can check state after every step, not only at the chain's end.
+CHAIN_STEPS: dict[str, tuple] = {
+    # add -> conflict add -> withdraw -> conflict discard -> add
+    "interleaved-all-three": (
+        _add_late("a"),
+        _edit_conflict(0, "a", add=True),
+        _withdraw(3),
+        _edit_conflict(0, "a", add=False),
+        _add_late("b"),
+    ),
+    # withdraw -> add -> conflict add (left in place)
+    "withdraw-then-add-then-conflict": (
+        _withdraw(-1),
+        _add_late("a"),
+        _edit_conflict(1, 0, add=True),
+    ),
+}
+
+
+def _run_steps(chain_id: str):
+    def builder(problem: WGRAPProblem, tag: str) -> WGRAPProblem:
+        for step in CHAIN_STEPS[chain_id]:
+            problem = step(problem, tag)
+        return problem
+
+    return builder
 
 
 #: Mutation chains: id -> builder.  ``None`` is the unmutated control.
 CHAINS: dict[str, object] = {
     "unmutated": None,
-    "interleaved-all-three": _chain_interleaved,
-    "withdraw-then-add-then-conflict": _chain_withdraw_first,
+    **{chain_id: _run_steps(chain_id) for chain_id in CHAIN_STEPS},
 }
 
 

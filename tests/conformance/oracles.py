@@ -25,6 +25,10 @@ once each, for clarity rather than speed.  There are two kinds:
   bitwise equality and returns the production value.  Since each returned
   value is asserted equal to the oracle's, a shadowed solve *is* the solve
   on object-layer inputs, checked at every state the solver visits.
+
+:func:`evaluate_fields` is the object-layer oracle of
+:meth:`AssignmentEngine.evaluate <repro.service.engine.AssignmentEngine.evaluate>`,
+which scores from one dense per-paper vector.
 """
 
 from __future__ import annotations
@@ -47,12 +51,14 @@ from repro.cra.repair import complete_assignment
 from repro.cra.sdga import StageDeepeningGreedySolver
 from repro.cra.stable_matching import StableMatchingSolver
 from repro.jra.bba import BranchAndBoundSolver
+from repro.metrics.quality import lowest_coverage_score, optimality_ratio
 from repro.service.registry import create_solver
 
 __all__ = [
     "WHOLE_SOLVER_ORACLES",
     "advance_front",
     "conflicted_reviewers",
+    "evaluate_fields",
     "local_search_refine",
     "naive_greedy",
     "oracle_solve",
@@ -575,3 +581,22 @@ def sra_refine(
             best = current.copy()
             best_score = current_score
     return best, best_score
+
+
+# ----------------------------------------------------------------------
+# Evaluation oracle
+# ----------------------------------------------------------------------
+def evaluate_fields(problem: WGRAPProblem, assignment: Assignment) -> dict[str, Any]:
+    """The scoring fields of an engine ``evaluate``, on the object layer.
+
+    One ``paper_score`` call per paper and per metric, as the library's
+    :mod:`repro.metrics.quality` functions compute them.
+    """
+    score = problem.assignment_score(assignment)
+    return {
+        "score": score,
+        "mean_coverage": score / problem.num_papers,
+        "lowest_coverage": lowest_coverage_score(problem, assignment),
+        "optimality_ratio": optimality_ratio(problem, assignment),
+        "per_paper": problem.paper_scores(assignment),
+    }

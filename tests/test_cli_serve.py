@@ -465,14 +465,16 @@ class TestObservabilityOverTheWire:
                 json.dumps({"kind": "solve", "solver": "Greedy"}),
                 json.dumps({"kind": "withdraw_reviewer", "reviewer_id": "missing"}),
                 json.dumps({"kind": "stats"}),
+                json.dumps({"kind": "metrics"}),
             ],
         )
         assert all("seconds" in r and r["seconds"] >= 0.0 for r in responses)
-        session_stats = responses[-1]["payload"]["session"]
+        session_stats = responses[-2]["payload"]["session"]
         assert session_stats["pending"] == 0
         assert session_stats["failed"] == 1
         assert session_stats["error_types"] == {"unknown_id": 1}
-        metrics = responses[-1]["payload"]["engine"]["metrics"]
+        assert "metrics" not in responses[-2]["payload"]["engine"]
+        metrics = responses[-1]["payload"]["metrics"]
         assert metrics["service.failures"] == 1
         assert metrics["service.errors.unknown_id"] == 1
 

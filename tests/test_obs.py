@@ -402,8 +402,10 @@ class TestNameContract:
 
 
 class TestEngineMetricsIntegration:
-    def test_stats_keeps_flat_counters_and_adds_a_metrics_block(self):
+    def test_stats_keeps_flat_counters_and_the_metrics_kind_serves_the_registry(self):
         from repro.service.engine import AssignmentEngine
+        from repro.service.requests import request_from_dict
+        from repro.service.session import EngineSession
 
         problem = make_problem(num_reviewers=10, num_papers=5, num_topics=4, seed=4)
         engine = AssignmentEngine(problem)
@@ -412,7 +414,10 @@ class TestEngineMetricsIntegration:
         stats = engine.stats()
         assert stats["solves"] == 1
         assert stats["journal_queries"] == 1
-        metrics = stats["metrics"]
+        # The percentile snapshot is the ``metrics`` kind's job, not stats'.
+        assert "metrics" not in stats
+        response = EngineSession(engine).dispatch(request_from_dict({"kind": "metrics"}))
+        metrics = response.payload["metrics"]
         assert metrics["engine.solves"] == 1
         assert metrics["engine.solve.seconds"]["count"] == 1
         assert metrics["engine.journal.seconds"]["count"] == 1

@@ -15,7 +15,7 @@ Two families of guarantees keep :mod:`repro.core.delta` honest:
 from __future__ import annotations
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.assignment import Assignment
@@ -126,8 +126,18 @@ def test_pruned_greedy_equals_unpruned(instance):
     assert pruned.stats["iterations"] == full.stats["iterations"]
 
 
+#: A zero-slack instance (P=4, R=8, delta_p=4, delta_r=2) whose final SDGA
+#: stage has no conflict-free, member-free matching; SDGA must fill that
+#: stage by repair instead of raising InfeasibleProblemError.
+ZERO_SLACK_FINAL_STAGE = make_problem(
+    num_papers=4, num_reviewers=8, num_topics=3, group_size=4,
+    seed=9, conflict_ratio=0.15, scoring="weighted_coverage",
+)
+
+
 @settings(max_examples=15, deadline=None)
 @given(wgrap_instances(), st.sampled_from(["all", "replace"]))
+@example((ZERO_SLACK_FINAL_STAGE, 0, 1, 2), "all")
 def test_pruned_local_search_equals_unpruned(instance, moves):
     problem, _, _, _ = instance
     base = StageDeepeningGreedySolver().solve(problem).assignment

@@ -272,11 +272,12 @@ class TestJournalQueries:
         assert answer.best.score == pytest.approx(direct.score)
         assert not answer.cache_hit
 
-    def test_repeated_queries_hit_the_jra_cache(self, engine):
+    def test_repeated_queries_hit_the_answer_memo(self, engine):
         paper_id = engine.problem.paper_ids[0]
         assert not engine.journal_query(paper_id).cache_hit
         assert engine.journal_query(paper_id).cache_hit
         assert engine.stats()["journal_cache_hits"] == 1
+        assert engine.stats()["journal_answers_cached"] == 1
 
     def test_top_k_groups_are_ranked(self, engine):
         answer = engine.journal_query(engine.problem.paper_ids[0], top_k=3)
