@@ -14,8 +14,9 @@ re-solve runs periodically).  The same request stream is replayed twice:
   read the maintained matrix, and full solves run the pruned candidate
   generator;
 * **full-recompile baseline** — identical engine code, but every cache is
-  invalidated before each request (``problem.invalidate_caches()`` +
-  ``cache.invalidate()``), so each mutate->resolve pays the historical
+  invalidated before each request (``problem.invalidate_caches()``; the
+  engine's score cache reads the problem's matrix and holds no copy of
+  its own), so each mutate->resolve pays the historical
   ``O(R * P * T)`` re-score and ``O(R * P)`` recompile.
 
 Both replays must produce **bitwise-identical outputs**: every solve's
@@ -168,7 +169,6 @@ def _replay(
     for event in stream:
         if invalidate:
             engine.problem.invalidate_caches()
-            engine.cache.invalidate(engine.problem)
         if event[0] == "solve":
             result = engine.solve("Greedy")
             outputs.append(

@@ -151,7 +151,7 @@ def appended_score_column(
     parent_arena: ScoreArena | None,
     paper: "Paper",
     column: np.ndarray | None = None,
-) -> tuple[np.ndarray, ScoreArena]:
+) -> tuple[np.ndarray, ScoreArena | None]:
     """The pair-score matrix of ``problem`` with the new paper's column scored.
 
     ``parent_scores`` is the source problem's cached ``(R, P)`` matrix; the
@@ -166,7 +166,9 @@ def appended_score_column(
     once per mutation.  The backing storage comes from a
     :class:`ScoreArena` shared along the chain, so the full-matrix copy is
     paid only when the arena must grow (or the chain branched), not on
-    every append.
+    every append.  A chain bound to a block store appends into the mapped
+    file instead (:meth:`repro.store.blocks.MemmapScoreStore.append_column`)
+    and has no RAM arena.
     """
     from repro.parallel.sharding import score_appended_columns
 
@@ -180,6 +182,8 @@ def appended_score_column(
         column = np.asarray(column, dtype=np.float64).reshape(
             problem.num_reviewers, 1
         )
+    if problem.score_store is not None:
+        return problem.score_store.append_column(parent_scores, column[:, 0]), None
     num_reviewers, num_papers = parent_scores.shape
     arena = parent_arena
     if (

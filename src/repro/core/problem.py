@@ -39,6 +39,7 @@ if TYPE_CHECKING:  # pragma: no cover - circular import guard
     from repro.core.dense import DenseProblem
     from repro.core.delta import ViewStats
     from repro.store.base import ProblemStore
+    from repro.store.blocks import MemmapScoreStore
 
 __all__ = [
     "WGRAPProblem",
@@ -199,6 +200,8 @@ class WGRAPProblem:
         self._pair_scores: np.ndarray | None = None
         #: backing arena when the pair scores live in a chain-shared buffer
         self._pair_arena = None
+        #: block store the chain keeps its pair scores in, or ``None`` for RAM
+        self._score_store: "MemmapScoreStore | None" = None
         self._dense_view: "DenseProblem | None" = None
         #: bound storage backend answering entity/candidate queries, or
         #: ``None`` until one is bound / lazily defaulted to the in-RAM one
@@ -361,16 +364,28 @@ class WGRAPProblem:
         are then scored by the sharded worker-pool kernel, which produces
         a bitwise-identical matrix.  Because the result is cached, warming
         in parallel up front speeds up every solver that reads
-        :meth:`pair_score_matrix` afterwards.
+        :meth:`pair_score_matrix` afterwards.  With a bound score store
+        (:meth:`bind_score_store`) the matrix is scored block by block into
+        the mapped file and only a read-only view of it is kept.
         """
         if self._pair_scores is None:
-            if parallel is not None:
-                scores = self._scoring.score_matrix(
-                    self.reviewer_matrix, self.paper_matrix, parallel=parallel
+            kwargs = {"parallel": parallel} if parallel is not None else {}
+            reviewer_matrix = self.reviewer_matrix
+            paper_matrix = self.paper_matrix
+            store = self._score_store
+            if store is not None:
+                scores = store.build(
+                    self.num_reviewers,
+                    self.num_papers,
+                    lambda start, stop: self._scoring.score_matrix(
+                        reviewer_matrix, paper_matrix[start:stop], **kwargs
+                    ),
                 )
             else:
-                scores = self._scoring.score_matrix(self.reviewer_matrix, self.paper_matrix)
-            scores.setflags(write=False)
+                scores = self._scoring.score_matrix(
+                    reviewer_matrix, paper_matrix, **kwargs
+                )
+                scores.setflags(write=False)
             self._pair_scores = scores
         return self._pair_scores
 
@@ -384,42 +399,28 @@ class WGRAPProblem:
 
     @property
     def cached_pair_scores(self) -> np.ndarray | None:
-        """The pair-score matrix if it has been materialised, else ``None``.
-
-        Long-lived components (the engine's score cache) use this to avoid
-        re-scoring a problem some solver already warmed.
-        """
+        """The pair-score matrix if it has been materialised, else ``None``."""
         return self._pair_scores
 
-    def adopt_pair_scores(self, scores: np.ndarray, copy: bool = True) -> None:
-        """Seed the pair-score cache with an externally computed matrix.
+    @property
+    def score_store(self) -> "MemmapScoreStore | None":
+        """The block store holding this chain's pair scores (``None``: RAM)."""
+        return self._score_store
 
-        Used by :class:`repro.service.cache.ScoreMatrixCache` after a build
-        or an incremental repair so solvers reading
-        :meth:`pair_score_matrix` afterwards reuse the engine's matrix
-        instead of re-scoring all ``R * P`` cells.  A read-only copy is
-        stored (the cache keeps mutating its own buffer).  No-op when this
-        problem already has a matrix; raises for a wrong shape.
+    def bind_score_store(self, store: "MemmapScoreStore") -> None:
+        """Keep this chain's pair-score matrix in ``store`` instead of RAM.
 
-        ``copy=False`` adopts a read-only *view* instead — the memmap-block
-        cache backend uses this so an out-of-core matrix is never pulled
-        into RAM; it is only safe because that backend never rewrites a
-        region an adopted view maps (shape changes go to a fresh
-        generation file).
+        The binding is carried to every derived problem: builds score into
+        the mapped file, added papers append a column to it and withdrawn
+        reviewers roll a new generation of it, so each problem of the
+        chain holds a read-only view of the file and the matrix never has
+        to fit in RAM.  A matrix already warmed in RAM moves into the
+        store.
         """
+        self._score_store = store
         if self._pair_scores is not None:
-            return
-        if copy:
-            adopted = np.array(scores, dtype=np.float64)
-        else:
-            adopted = np.asarray(scores, dtype=np.float64).view()
-        if adopted.shape != (self.num_reviewers, self.num_papers):
-            raise DimensionMismatchError(
-                f"pair-score matrix of shape {adopted.shape} does not fit a problem "
-                f"with {self.num_reviewers} reviewers and {self.num_papers} papers"
-            )
-        adopted.setflags(write=False)
-        self._pair_scores = adopted
+            self._pair_scores = store.write_all(self._pair_scores)
+            self._pair_arena = None
 
     def dense_view(self) -> "DenseProblem":
         """The cached index-space compilation of this problem.
@@ -473,10 +474,10 @@ class WGRAPProblem:
     def invalidate_caches(self) -> None:
         """Drop every lazily built matrix and compiled view of this problem.
 
-        The caches rebuild transparently on next use, so results are
-        unaffected — this hook exists for benchmarks and tests that need a
-        full-recompile baseline to compare the delta-maintenance path
-        against.
+        The caches rebuild transparently on next use (a bound score store
+        stays bound), so results are unaffected — this hook exists for
+        benchmarks and tests that need a full-recompile baseline to
+        compare the delta-maintenance path against.
         """
         self._reviewer_matrix = None
         self._paper_matrix = None
@@ -715,6 +716,7 @@ class WGRAPProblem:
         derived._papers_version = self._papers_version + 1
         derived._reviewers_version = self._reviewers_version
         derived._view_stats = self.view_stats
+        derived._score_store = self._score_store
         self._apply_add_paper_delta(derived, paper, pair_score_column)
         self._emit_mutation(
             ProblemMutation(
@@ -797,6 +799,7 @@ class WGRAPProblem:
         derived._papers_version = self._papers_version
         derived._reviewers_version = self._reviewers_version + 1
         derived._view_stats = self.view_stats
+        derived._score_store = self._score_store
         self._apply_remove_reviewer_delta(derived, reviewer_id, row)
         self._emit_mutation(
             ProblemMutation(
@@ -822,9 +825,14 @@ class WGRAPProblem:
             derived._reviewer_matrix = matrix
             carried = True
         if self._pair_scores is not None:
-            scores = np.delete(self._pair_scores, row, axis=0)
-            scores.setflags(write=False)
-            derived._pair_scores = scores
+            if self._score_store is not None:
+                derived._pair_scores = self._score_store.drop_row(
+                    self._pair_scores, row
+                )
+            else:
+                scores = np.delete(self._pair_scores, row, axis=0)
+                scores.setflags(write=False)
+                derived._pair_scores = scores
             carried = True
         if self._dense_view is not None:
             from repro.core.delta import dense_view_without_reviewer

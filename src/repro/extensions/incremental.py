@@ -21,8 +21,8 @@ set of changed pairs instead of having to diff two assignments.  Both
 functions return a *new* problem and a *new* assignment; the inputs are
 never mutated.
 
-Conflict-version discipline (audited in PR 5, the same staleness class
-fixed in the engine's JRA sub-problem cache in PR 4): every cached input
+Conflict-version discipline (the same staleness class the engine's
+journal answer memo guards against by conflict version): every cached input
 this path consumes is keyed on :attr:`WGRAPProblem.versions
 <repro.core.problem.WGRAPProblem.versions>` — the engine validates the
 incoming assignment against the *current* conflict version before

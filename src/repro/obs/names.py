@@ -23,10 +23,10 @@ __all__ = ["METRIC_NAMES", "SPAN_NAMES", "matches_name"]
 #: span name -> one-line description (where it is opened and what it times)
 SPAN_NAMES: dict[str, str] = {
     "request.<kind>": "one served request of the given wire kind (EngineSession.dispatch)",
-    "engine.solve": "AssignmentEngine.solve: cache warm-up, solver run, bookkeeping",
+    "engine.solve": "AssignmentEngine.solve: solver run, bookkeeping",
     "engine.portfolio": "AssignmentEngine.solve_portfolio: the whole portfolio race",
     "engine.journal_query": "AssignmentEngine.journal_query: JRA problem build + solve",
-    "engine.add_paper": "AssignmentEngine.add_paper: delta view derivation + cache update",
+    "engine.add_paper": "AssignmentEngine.add_paper: staffing + delta view derivation",
     "engine.withdraw_reviewer": "AssignmentEngine.withdraw_reviewer: delta derivation + repair",
     "solver.<name>": "one CRA or JRA solver run (base-class solve wrapper)",
     "greedy.select_loop": "GreedySolver: the lazy selection loop (iterations/refreshes as attrs)",
@@ -35,7 +35,6 @@ SPAN_NAMES: dict[str, str] = {
     "sra.round": "StochasticRefiner: one stochastic restart round",
     "bba.search": "BranchAndBoundSolver: the expansion/backtrack search loop",
     "cache.full_build": "ScoreMatrixCache: cold full score-matrix build",
-    "cache.partial_update": "ScoreMatrixCache: incremental column append/patch",
     "dense.recompile": "WGRAPProblem.dense_view: cold DenseProblem compilation",
     "delta.append_paper": "delta.dense_view_with_paper: carry a dense view across add_paper",
     "delta.drop_reviewer": "delta.dense_view_without_reviewer: carry a view across a withdraw",

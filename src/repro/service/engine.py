@@ -12,13 +12,15 @@ drop-outs, bid updates).
 work across requests:
 
 * it owns one :class:`~repro.core.problem.WGRAPProblem` and subscribes to
-  its mutation events, so the score cache
-  (:class:`~repro.service.cache.ScoreMatrixCache`) is repaired
-  incrementally — one column per late paper, zero re-scoring per
-  withdrawal — instead of rebuilt;
-* journal answers are memoized: a repeated query is answered without
+  its mutation events; the problem chain carries the pair-score matrix
+  over by delta — one scored column per late paper, zero re-scoring per
+  withdrawal — and the engine's
+  :class:`~repro.service.cache.ScoreMatrixCache` reads it from whichever
+  problem is current;
+* journal answers are memoized (least recently used first out past
+  :data:`JOURNAL_MEMO_CAP` entries): a repeated query is answered without
   running a solver while nothing it depends on has changed, and a miss
-  can prune its candidate pool with the cache's top-k reviewer index;
+  can prune its candidate pool to the best-scoring reviewers;
 * conference solves, incremental mutations and evaluation all go through
   the string-keyed solver registry, so requests can name solvers.
 
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 import time
 import weakref
+from collections import OrderedDict
 from dataclasses import dataclass, replace
 from typing import Any
 
@@ -62,13 +65,18 @@ from repro.obs.metrics import MetricsRegistry, get_registry
 from repro.obs.trace import get_tracer
 from repro.parallel.config import ParallelConfig
 from repro.parallel.portfolio import DEFAULT_PORTFOLIO, PortfolioOutcome, run_portfolio
-from repro.service.cache import ScoreMatrixCache
+from repro.service.cache import ScoreMatrixCache, rank_reviewers
 from repro.service.registry import create_solver, solver_spec
 from repro.store.base import ProblemStore
 
 TRACER = get_tracer()
 
-__all__ = ["AssignmentEngine", "EngineDelta", "JournalAnswer"]
+__all__ = ["AssignmentEngine", "EngineDelta", "JOURNAL_MEMO_CAP", "JournalAnswer"]
+
+#: most journal answers an engine memoizes; past it the least recently
+#: used answer is forgotten, so a client varying ``top_k``, ``prune`` or
+#: ``shortlist_size`` cannot grow the memo without bound
+JOURNAL_MEMO_CAP = 1024
 
 
 @dataclass(frozen=True)
@@ -232,20 +240,19 @@ class AssignmentEngine:
         self._bids = bids if bids is not None else BidMatrix()
         self._parallel = parallel
         #: optional durable problem store; attached first so its index
-        #: deltas follow the same mutation chain the cache repairs, and
-        #: so entity queries route through the indexed backend.
+        #: deltas follow the engine's mutation chain, so entity queries
+        #: route through the indexed backend, and so a block backend holds
+        #: the chain's pair-score matrix out of core.
         self._store = store
         if store is not None:
             store.attach(problem)
-        self._cache = ScoreMatrixCache(
-            problem,
-            parallel=parallel,
-            storage=store.matrix_backend() if store is not None else None,
-        )
-        #: whole journal answers, keyed by every parameter that shapes one
-        #: (see :meth:`_journal_query`); valid while reviewers and the
-        #: conflict set stay unchanged
-        self._journal_memo: dict[tuple[Any, ...], JournalAnswer] = {}
+            if store.matrix_backend() is not None:
+                problem.bind_score_store(store.matrix_backend())
+        self._cache = ScoreMatrixCache(problem, parallel=parallel)
+        #: whole journal answers in least-recently-used order, keyed by
+        #: every parameter that shapes one (see :meth:`_journal_query`);
+        #: valid while reviewers and the conflict set stay unchanged
+        self._journal_memo: OrderedDict[tuple[Any, ...], JournalAnswer] = OrderedDict()
         #: conflict version the answer memo is valid for
         self._journal_memo_version = problem.conflicts.version
         self._revision = 0
@@ -373,7 +380,7 @@ class AssignmentEngine:
         self._problem.remove_mutation_listener(self._listener)
 
     def _on_mutation(self, mutation: ProblemMutation) -> None:
-        self._cache.apply_mutation(mutation)
+        self._cache.rebind(mutation.result)
         self._problem = mutation.result
         self._revision += 1
         self._count(mutation.kind)
@@ -428,12 +435,6 @@ class AssignmentEngine:
             spec = solver_spec("cra", name)
             instance = spec.factory(**options)
             canonical = spec.name
-        if self._cache.storage is not None:
-            # Out-of-core engines must solve from the mapped blocks: the
-            # cache build seeds the problem with a read-only view of the
-            # block file, so the solver never materialises the full
-            # matrix in RAM (and repairs land in the blocks, not a copy).
-            self._cache.matrix()
         with TRACER.span("engine.solve", solver=canonical) as span:
             result = instance.solve(self._problem)
             span.set(score=round(result.score, 6))
@@ -517,10 +518,10 @@ class AssignmentEngine:
             Registry name of the JRA solver (default BBA).
         pool_size:
             When set, restrict the candidate pool to the top ``pool_size``
-            reviewers of the cached score index — a large speed-up for big
-            pools at a usually negligible quality cost.  Only available for
-            papers of the problem (the cache has no column for inline
-            papers).
+            reviewers of the paper's score column — a large speed-up for
+            big pools at a usually negligible quality cost.  Only available
+            for papers of the problem (the score matrix has no column for
+            inline papers).
         prune:
             When set, answer through the *exact* pruned candidate pool of
             :func:`repro.jra.topk.find_top_k_groups`: solve on the top
@@ -614,6 +615,7 @@ class AssignmentEngine:
             key = (paper_id, size, pool_size, spec.name, top_k, prune, shortlist_size)
             memo = self._journal_memo.get(key)
             if memo is not None:
+                self._journal_memo.move_to_end(key)
                 self._count("journal_queries")
                 self._count("journal_cache_hits")
                 return replace(
@@ -665,13 +667,15 @@ class AssignmentEngine:
         )
         if not inline:
             self._journal_memo[key] = answer
+            if len(self._journal_memo) > JOURNAL_MEMO_CAP:
+                self._journal_memo.popitem(last=False)
         return answer
 
     def _candidate_scores_for(self, jra: JRAProblem, paper_id: str) -> Any:
-        """The cached score-column entries aligned with a JRA candidate pool.
+        """The paper's score-column entries aligned with a JRA candidate pool.
 
         Feeds the exact pruned top-k path without any re-scoring: the
-        cache column holds the same pair scores the pruned solver would
+        column holds the same pair scores the pruned solver would
         compute (same kernel, bitwise-equal).
         """
         column = self._cache.scores_for_paper(paper_id)
@@ -723,7 +727,7 @@ class AssignmentEngine:
         Staffing never touches existing groups: the new paper gets an exact
         JRA group drawn from the reviewers with spare capacity (this is the
         paper's journal sub-problem applied inside a conference).  The
-        engine's score cache gains one dirty column — the full matrix is
+        problem's score matrix gains one scored column — the full matrix is
         *not* recomputed.
 
         ``pool_size`` restricts the staffing candidates to the top
@@ -816,15 +820,12 @@ class AssignmentEngine:
                     problem.reviewer_matrix,
                     np.asarray(paper.vector.values, dtype=np.float64)[None, :],
                 )[:, 0]
-                ranking = np.argsort(-pair_score_column, kind="stable")
-                keep: set[str] = set()
-                for row in ranking:
-                    reviewer_id = problem.reviewer_ids[int(row)]
-                    if reviewer_id in excluded:
-                        continue
-                    keep.add(reviewer_id)
-                    if len(keep) == pool_size:
-                        break
+                keep = {
+                    reviewer_id
+                    for reviewer_id, _ in rank_reviewers(
+                        pair_score_column, problem.reviewer_ids, pool_size, excluded
+                    )
+                }
                 excluded = {
                     reviewer_id
                     for reviewer_id in problem.reviewer_ids
@@ -840,8 +841,8 @@ class AssignmentEngine:
             staffing = create_solver("jra", solver or self.DEFAULT_JRA_SOLVER)
             group_ids = staffing.solve(jra).reviewer_ids
 
-        # All checks passed; commit the mutation (the listener repairs the
-        # cache by appending one lazy column) and staff the paper.
+        # All checks passed; commit the mutation (the problem chain appends
+        # the new paper's score column) and staff the paper.
         mutated = problem.with_additional_paper(
             paper, workload, pair_score_column=pair_score_column
         )
@@ -901,7 +902,7 @@ class AssignmentEngine:
 
         The vacated slots are refilled by the repair pass (a capacitated
         assignment maximising marginal coverage, with augmenting swaps when
-        capacity is tight).  The engine's score cache drops one row — no
+        capacity is tight).  The problem's score matrix drops one row — no
         re-scoring happens at all.  If the remaining pool cannot cover the
         vacated slots the engine state is rolled back before the error
         propagates.
@@ -954,18 +955,11 @@ class AssignmentEngine:
             mutated.validate_assignment(repaired, require_complete=True)
         except Exception:
             # Roll the engine back to the pre-mutation problem — including
-            # the revision, counters and row-removal stat the listener
-            # already bumped; the cheap price is a full cache invalidation.
+            # the revision and counters the listener already bumped.  The
+            # pre-mutation problem still holds its own score matrix.
             mutated.remove_mutation_listener(self._listener)
             self._problem = problem
-            stats = self._cache.stats
-            stats.rows_removed -= 1
-            self._cache = ScoreMatrixCache(
-                problem,
-                stats=stats,
-                parallel=self._parallel,
-                storage=self._cache.storage,
-            )
+            self._cache.rebind(problem)
             if self._store is not None:
                 # The store's listener already applied the withdrawal;
                 # re-attaching to the pre-mutation problem rebases it.

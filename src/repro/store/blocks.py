@@ -8,20 +8,22 @@ column-major (Fortran-order) ``float64`` file of shape
       meta.json           # {rows, cols, capacity, generation, block_cols}
       scores-000003.bin   # rows * capacity * 8 bytes, column-contiguous
 
-Column-major layout makes a *column* contiguous on disk, which matches
-every access pattern of :class:`repro.service.cache.ScoreMatrixCache`:
-appending a late paper writes one contiguous tail region, repairing a
-dirty column rewrites one contiguous region, and per-paper shortlists
-read one contiguous region.  Capacity grows in blocks of ``block_cols``
-columns so appends amortise to one ``ftruncate`` per block.
+A store bound to a problem chain (see
+:meth:`repro.core.problem.WGRAPProblem.bind_score_store`) is that chain's
+arena for the pair-score matrix: every problem of the chain holds a
+read-only view of the mapped file.  Column-major layout makes a *column*
+contiguous on disk, which matches both chain mutations and the per-paper
+reads: appending a late paper writes one contiguous tail region, and a
+per-paper shortlist reads one contiguous region.  Capacity grows in
+blocks of ``block_cols`` columns so appends amortise to one
+``ftruncate`` per block.
 
-Shape-changing operations (full rebuilds, reviewer-row drops) always
-allocate a **new generation file** instead of rewriting in place: any
-older read-only view some problem adopted keeps mapping the unlinked old
-file, so historical views stay bitwise-intact while the store moves on.
-Same-shape writes (column appends into reserved capacity, dirty-column
-repairs) land beyond the region any older view maps, which is what makes
-zero-copy adoption of the live view safe.
+Only the chain's *tip* — the last view the store handed out — is
+extended in place; its appends land beyond the region any older view
+maps.  Everything else (full builds, reviewer-row drops, and appends to a
+problem that is no longer the tip: a rolled-back withdrawal, a branched
+chain) writes a **new generation file** from the parent's view, so every
+older view keeps mapping its own, possibly unlinked, file bitwise-intact.
 """
 
 from __future__ import annotations
@@ -47,10 +49,10 @@ class MemmapScoreStore:
     """A growable on-disk ``(rows, cols)`` float64 matrix, block-aligned.
 
     The store starts empty (``allocate``/``write_all``/``build`` create
-    the first generation) and afterwards supports exactly the mutations
-    the score cache needs: ``append_column``, ``set_column`` (through the
-    writable view), and ``drop_row``.  All block traffic is counted so
-    the observability layer can report reads, writes and mapped bytes.
+    the first generation) and afterwards supports exactly the mutations a
+    problem chain makes: ``append_column`` and ``drop_row``, each derived
+    from a parent view.  All block traffic is counted so the
+    observability layer can report reads, writes and mapped bytes.
     """
 
     def __init__(self, directory: str | Path, block_cols: int = 64) -> None:
@@ -63,6 +65,8 @@ class MemmapScoreStore:
         self.capacity = 0
         self.generation = 0
         self._map: np.memmap | None = None
+        #: the read-only view last handed out (the chain's tip)
+        self._tip: np.memmap | None = None
         self.block_reads = 0
         self.block_writes = 0
         self.appends = 0
@@ -109,17 +113,13 @@ class MemmapScoreStore:
         os.replace(tmp, self.directory / _META_NAME)
 
     @property
-    def is_allocated(self) -> bool:
-        return self._map is not None
-
-    @property
     def bytes_mapped(self) -> int:
         return self.rows * self.capacity * 8
 
     # ------------------------------------------------------------------
     # Allocation and full builds
     # ------------------------------------------------------------------
-    def allocate(self, rows: int, cols: int) -> np.memmap:
+    def _allocate(self, rows: int, cols: int) -> np.memmap:
         """Start a fresh zero-filled generation sized for ``(rows, cols)``.
 
         The previous generation file (if any) is unlinked, but any live
@@ -141,10 +141,11 @@ class MemmapScoreStore:
         self._map = np.memmap(
             path, dtype=np.float64, mode="r+", shape=(self.rows, self.capacity), order="F"
         )
+        self._tip = None
         self._save_meta()
         if old is not None:
             Path(old).unlink(missing_ok=True)
-        return self.view()
+        return self._map
 
     def write_all(self, matrix: np.ndarray) -> np.memmap:
         """Copy a whole ``(rows, cols)`` matrix into a fresh generation."""
@@ -153,12 +154,12 @@ class MemmapScoreStore:
             "store.block_io", op="write_all", rows=int(matrix.shape[0]),
             cols=int(matrix.shape[1]),
         ):
-            view = self.allocate(matrix.shape[0], matrix.shape[1])
+            target = self._allocate(matrix.shape[0], matrix.shape[1])
             for start in range(0, self.cols, self.block_cols):
                 stop = min(start + self.block_cols, self.cols)
-                view[:, start:stop] = matrix[:, start:stop]
+                target[:, start:stop] = matrix[:, start:stop]
                 self.block_writes += 1
-        return view
+        return self.view()
 
     def build(
         self, rows: int, cols: int, scorer: Callable[[int, int], np.ndarray]
@@ -170,39 +171,46 @@ class MemmapScoreStore:
         matrix only ever exists on disk.
         """
         with TRACER.span("store.block_io", op="build", rows=rows, cols=cols):
-            view = self.allocate(rows, cols)
+            target = self._allocate(rows, cols)
             for start in range(0, self.cols, self.block_cols):
                 stop = min(start + self.block_cols, self.cols)
-                view[:, start:stop] = scorer(start, stop)
+                target[:, start:stop] = scorer(start, stop)
                 self.block_writes += 1
-        return view
+        return self.view()
 
     # ------------------------------------------------------------------
     # Views
     # ------------------------------------------------------------------
-    def view(self, writable: bool = True) -> np.memmap:
-        """The current ``(rows, cols)`` slice of the mapped file."""
+    def view(self) -> np.memmap:
+        """The current ``(rows, cols)`` slice of the mapped file, read-only."""
         if self._map is None:
             raise ConfigurationError("score block store has not been allocated")
-        self.block_reads += 1
-        sliced = self._map[:, : self.cols]
-        if not writable:
-            sliced = sliced[:]
-            sliced.setflags(write=False)
-        return sliced
+        if self._tip is None:
+            self.block_reads += 1
+            tip = self._map[:, : self.cols]
+            tip.setflags(write=False)
+            self._tip = tip
+        return self._tip
 
     # ------------------------------------------------------------------
     # Incremental maintenance
     # ------------------------------------------------------------------
-    def append_column(self, values: np.ndarray | None = None) -> np.memmap:
-        """Append one column (zeros when ``values`` is ``None``).
+    def append_column(self, parent: np.ndarray, values: np.ndarray) -> np.memmap:
+        """``parent`` with one column appended, as a read-only view.
 
-        Stays inside reserved capacity when possible; otherwise extends
-        the *same* file by one block (older views map a prefix region the
-        extension never touches).
+        When ``parent`` is the tip the column goes into reserved capacity
+        (or extends the *same* file by one block; older views map a prefix
+        region the extension never touches).  Any other parent first gets
+        a fresh generation holding a copy of its view.
         """
-        if self._map is None:
-            raise ConfigurationError("score block store has not been allocated")
+        column = np.asarray(values, dtype=np.float64).reshape(-1)
+        if column.shape[0] != parent.shape[0]:
+            raise ConfigurationError(
+                f"appended column has {column.shape[0]} rows, matrix has "
+                f"{parent.shape[0]}"
+            )
+        if self._map is None or parent is not self._tip:
+            self.write_all(parent)
         with TRACER.span("store.block_io", op="append", col=self.cols):
             if self.cols == self.capacity:
                 self.capacity += self.block_cols
@@ -216,46 +224,35 @@ class MemmapScoreStore:
                     shape=(self.rows, self.capacity),
                     order="F",
                 )
-            if values is not None:
-                column = np.asarray(values, dtype=np.float64).reshape(-1)
-                if column.shape[0] != self.rows:
-                    raise ConfigurationError(
-                        f"appended column has {column.shape[0]} rows, store has "
-                        f"{self.rows}"
-                    )
-                self._map[:, self.cols] = column
+            self._map[:, self.cols] = column
             self.cols += 1
+            self._tip = None
             self.block_writes += 1
             self.appends += 1
             self._save_meta()
         return self.view()
 
-    def drop_row(self, row: int) -> np.memmap:
-        """Remove one row by rewriting into a fresh generation, blockwise.
+    def drop_row(self, parent: np.ndarray, row: int) -> np.memmap:
+        """``parent`` without one row, in a fresh generation, blockwise.
 
         No re-scoring happens (pair scores are independent across rows);
-        the cost is one sequential read+write pass over the file.  Older
-        adopted views keep mapping the previous generation untouched.
+        the cost is one sequential read+write pass over the parent.  Older
+        views keep mapping their generation untouched.
         """
-        if self._map is None:
-            raise ConfigurationError("score block store has not been allocated")
-        if not 0 <= row < self.rows:
-            raise ConfigurationError(f"row {row} out of range for {self.rows} rows")
-        if self.rows == 1:
+        rows, cols = parent.shape
+        if not 0 <= row < rows:
+            raise ConfigurationError(f"row {row} out of range for {rows} rows")
+        if rows == 1:
             raise ConfigurationError("cannot drop the only row of the score store")
         with TRACER.span("store.block_io", op="drop_row", row=row):
-            source = self._map
-            cols = self.cols
-            view = self.allocate(self.rows - 1, max(1, cols))
-            self.cols = cols
+            target = self._allocate(rows - 1, cols)
             for start in range(0, cols, self.block_cols):
                 stop = min(start + self.block_cols, cols)
-                block = np.asarray(source[:, start:stop])
+                block = np.asarray(parent[:, start:stop])
                 self.block_reads += 1
-                view[:, start:stop] = np.delete(block, row, axis=0)
+                target[:, start:stop] = np.delete(block, row, axis=0)
                 self.block_writes += 1
             self.drops += 1
-            self._save_meta()
         return self.view()
 
     # ------------------------------------------------------------------
@@ -269,6 +266,7 @@ class MemmapScoreStore:
     def close(self) -> None:
         self.flush()
         self._map = None
+        self._tip = None
 
     def describe(self) -> dict[str, Any]:
         return {

@@ -18,7 +18,7 @@ import pytest
 from repro.core.entities import Paper
 from repro.data.synthetic import make_problem
 from repro.exceptions import InfeasibleProblemError
-from repro.service.engine import AssignmentEngine, JournalAnswer
+from repro.service.engine import JOURNAL_MEMO_CAP, AssignmentEngine, JournalAnswer
 from tests.conformance import (
     CHAIN_STEPS,
     CHAINS,
@@ -108,6 +108,37 @@ def _spare_engine() -> AssignmentEngine:
 
 def _cached(engine: AssignmentEngine) -> int:
     return engine.stats()["journal_answers_cached"]
+
+
+class TestMemoBound:
+    def test_sweep_past_the_cap_evicts_least_recently_used(self):
+        """A client varying ``shortlist_size`` cannot grow the memo past
+        its cap; evicted and kept answers both stay cold-exact."""
+        engine = AssignmentEngine(make_instance(GRID["compact"]))
+        problem = engine.problem
+        reference = AssignmentEngine(cold_clone(problem))  # each key once: no hits
+        paper_id = problem.paper_ids[0]
+        sizes = range(JOURNAL_MEMO_CAP + 40)
+        cold = {
+            size: _stable(reference.journal_query(paper_id, shortlist_size=size))
+            for size in sizes
+        }
+
+        def served(size: int, hit: bool) -> None:
+            answer = engine.journal_query(paper_id, shortlist_size=size)
+            assert answer.cache_hit is hit, size
+            assert _stable(answer) == cold[size], size
+            assert _cached(engine) <= JOURNAL_MEMO_CAP
+
+        for size in sizes[:JOURNAL_MEMO_CAP]:
+            served(size, hit=False)
+        served(0, hit=True)  # now the most recently used entry
+        for size in sizes[JOURNAL_MEMO_CAP:]:
+            served(size, hit=False)
+        assert _cached(engine) == JOURNAL_MEMO_CAP
+        served(0, hit=True)
+        served(1, hit=False)  # the least recently used entry was evicted
+        served(sizes[-1], hit=True)
 
 
 class TestMemoValidity:

@@ -15,17 +15,23 @@ results.  This file pins that across the shared grid:
   including when the store is **closed and reopened mid-chain**.
 * **memmap-backed engine == RAM engine, bitwise** — an engine whose
   score matrix lives in memmap blocks answers an interleaved request
-  stream (solve / add / bids / journal / withdraw / evaluate) with
-  responses identical to the in-RAM engine's.
+  stream (solve / add / bids / journal / withdraw / rolled-back withdraw
+  / evaluate) with responses identical to the in-RAM engine's.
+* **one score matrix** — after every add, withdrawal and rolled-back
+  withdrawal the engine holds exactly one pair-score matrix: the
+  problem's, in RAM or mapped from the block file, never both.
 """
 
 from __future__ import annotations
+
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.core.entities import Paper
 from repro.data.synthetic import make_problem
+from repro.exceptions import InfeasibleProblemError
 from repro.service.engine import AssignmentEngine
 from repro.service.registry import available_solver_specs, create_solver
 from repro.store import InMemoryProblemStore, SqliteProblemStore
@@ -215,6 +221,104 @@ class TestMutationChains:
         assert stored.score == live_solve.score
 
 
+def withdraw_rolled_back(engine, reviewer_id):
+    """Withdraw ``reviewer_id`` so the repair fails and the engine rolls back.
+
+    Every non-member of one of the reviewer's papers is declared
+    conflicted with it, so the vacated slot cannot be refilled; the
+    conflicts are lifted again once the engine has rolled back.
+    """
+    problem = engine.problem
+    paper_id = sorted(engine.assignment.papers_of(reviewer_id))[0]
+    group = engine.assignment.reviewers_of(paper_id)
+    blocked = [rid for rid in problem.reviewer_ids if rid not in group]
+    for rid in blocked:
+        problem.conflicts.add(rid, paper_id)
+    with pytest.raises(InfeasibleProblemError):
+        engine.withdraw_reviewer(reviewer_id)
+    assert engine.problem is problem
+    for rid in blocked:
+        problem.conflicts.discard(rid, paper_id)
+
+
+class TestOneScoreMatrix:
+    """The problem chain is the only owner of the pair-score matrix."""
+
+    def _problem(self):
+        return make_problem(10, 16, num_topics=8, reviewer_workload=6, seed=7)
+
+    def _steps(self, engine, check):
+        engine.solve("Greedy")
+        engine.warm()
+        check(engine)
+        engine.add_paper(late_paper(engine.problem, "one-a"))
+        check(engine)
+        engine.withdraw_reviewer(engine.problem.reviewer_ids[-1])
+        check(engine)
+        withdraw_rolled_back(engine, engine.problem.reviewer_ids[2])
+        check(engine)
+        # The rolled-back problem is no longer the arena's tip: the next
+        # append must not disturb the withdrawn branch's matrix.
+        engine.add_paper(late_paper(engine.problem, "one-b"))
+        check(engine)
+        engine.withdraw_reviewer(engine.problem.reviewer_ids[0])
+        check(engine)
+
+    @staticmethod
+    def _exact(engine):
+        problem = engine.problem
+        expected = problem.scoring.score_matrix(
+            problem.reviewer_matrix, problem.paper_matrix
+        )
+        scores = problem.cached_pair_scores
+        assert np.array_equal(scores, expected)
+        return scores
+
+    def test_ram_engine_shares_the_problems_matrix(self):
+        engine = AssignmentEngine(self._problem())
+
+        def check(engine):
+            scores = self._exact(engine)
+            assert np.shares_memory(engine.cache.matrix(), scores)
+            assert engine.cache.matrix() is scores
+            assert engine.problem.score_store is None
+
+        self._steps(engine, check)
+
+    def test_block_engine_keeps_the_matrix_mapped(self, tmp_path):
+        store = SqliteProblemStore.create(
+            tmp_path / "one.db", self._problem(), blocks=True, block_cols=4
+        )
+        engine = AssignmentEngine.from_store(store)
+        blocks = store.matrix_backend()
+
+        def check(engine):
+            scores = self._exact(engine)
+            assert isinstance(scores, np.memmap)
+            assert Path(scores.filename).parent == blocks.directory
+            assert engine.cache.matrix() is scores
+            assert engine.problem.score_store is blocks
+
+        try:
+            self._steps(engine, check)
+            assert blocks.appends >= 2 and blocks.drops >= 2
+        finally:
+            store.close()
+
+    def test_binding_moves_a_warmed_matrix_into_the_blocks(self, tmp_path):
+        problem = self._problem()
+        warmed = np.array(problem.warm_pair_scores())
+        store = SqliteProblemStore.create(tmp_path / "warm.db", problem, blocks=True)
+        try:
+            engine = AssignmentEngine(problem, store=store)
+            scores = engine.problem.cached_pair_scores
+            assert isinstance(scores, np.memmap)
+            assert np.array_equal(scores, warmed)
+            assert engine.cache.matrix() is scores
+        finally:
+            store.close()
+
+
 class TestMemmapEngineParity:
     """Engine on memmap blocks == engine in RAM across a request stream."""
 
@@ -237,6 +341,10 @@ class TestMemmapEngineParity:
         answer = engine.journal_query(engine.problem.paper_ids[0], top_k=2)
         responses.append((answer.best.reviewer_ids, answer.best.score))
         engine.withdraw_reviewer(engine.problem.reviewer_ids[-1])
+        result = engine.solve("Greedy")
+        responses.append((result.assignment, result.score))
+        withdraw_rolled_back(engine, engine.problem.reviewer_ids[2])
+        engine.add_paper(late_paper(engine.problem, "stream-b"))
         result = engine.solve("Greedy")
         responses.append((result.assignment, result.score))
         responses.append(engine.evaluate())

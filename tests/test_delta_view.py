@@ -290,7 +290,6 @@ class TestEngineDeltaPath:
             for operation in operations:
                 if invalidate:
                     engine.problem.invalidate_caches()
-                    engine.cache.invalidate(engine.problem)
                 if operation[0] == "solve":
                     result = engine.solve("Greedy")
                     outputs.append(("solve", sorted(result.assignment.pairs()),
@@ -325,25 +324,6 @@ class TestReviewFindings:
             engine.add_paper(_late_paper(engine.problem), reviewer_workload=1)
         assert engine.problem.num_papers == papers_before  # nothing committed
         engine.problem.validate_assignment(engine.assignment)
-
-    def test_adoption_clears_leftover_dirty_columns(self):
-        """A dirty placeholder column left by a cold mutation must not make
-        the cache write into a later-adopted read-only matrix."""
-        problem = _instance(seed=6)
-        engine = AssignmentEngine(problem)
-        engine.warm()
-        engine.problem.invalidate_caches()  # cold chain: next add stays dirty
-        engine.add_paper(_late_paper(engine.problem, "late-a"))
-        assert engine.cache.dirty_papers == {"late-a"}
-        engine.solve("Greedy")  # warms the derived problem's pair scores
-        engine.add_paper(_late_paper(engine.problem, "late-b"))
-        assert not engine.cache.dirty_papers  # covered by the adopted matrix
-        matrix = engine.cache.matrix()  # must not raise
-        current = engine.problem
-        expected = current.scoring.score_matrix(
-            current.reviewer_matrix, current.paper_matrix
-        )
-        assert np.array_equal(matrix, expected)
 
     def test_conflict_edit_voids_the_assignment_validity_cache(self):
         """A live conflict edit that invalidates an assigned pair must make

@@ -309,21 +309,14 @@ class TestDenseViewSharing:
         problem = _instance(0)
         cache = ScoreMatrixCache(problem)
         matrix = cache.matrix()
-        assert problem.cached_pair_scores is not None
-        assert np.array_equal(problem.pair_score_matrix(), matrix)
-        assert cache.stats.adopted_builds == 0
+        assert problem.cached_pair_scores is matrix
+        assert problem.pair_score_matrix() is matrix
+        assert cache.stats.full_builds == 1
 
     def test_cache_reuses_a_warmed_problem(self):
         problem = _instance(0)
         warmed = problem.warm_pair_scores()
         cache = ScoreMatrixCache(problem)
-        assert np.array_equal(cache.matrix(), warmed)
-        assert cache.stats.adopted_builds == 1
-        assert cache.stats.score_calls == 0
-
-    def test_adopt_rejects_wrong_shape(self):
-        from repro.exceptions import DimensionMismatchError
-
-        problem = _instance(0)
-        with pytest.raises(DimensionMismatchError):
-            problem.adopt_pair_scores(np.zeros((2, 2)))
+        assert cache.matrix() is warmed
+        assert cache.stats.full_builds == 0
+        assert cache.stats.scored_cells == 0

@@ -135,15 +135,11 @@ class TestScoreCacheInvalidation:
         calls = self._count_scoring_calls(monkeypatch)
         solved_engine.add_paper(_late_paper(solved_engine.problem))
         # The delta layer scores exactly the new column at mutation time;
-        # the cache adopts the carried matrix by reference instead of
-        # re-scoring (or even copying) anything.
+        # every later read shares the carried matrix.
         solved_engine.journal_query("late-submission")
+        solved_engine.cache.top_reviewers("late-submission", 3)
         num_reviewers = solved_engine.problem.num_reviewers
         assert calls == [(num_reviewers, 1)]
-        assert solved_engine.cache.stats.full_builds == 1
-        assert solved_engine.cache.stats.columns_adopted == 1
-        assert solved_engine.cache.stats.partial_updates == 0
-        assert not solved_engine.cache.dirty_papers
 
     def test_withdraw_reviewer_scores_nothing(self, monkeypatch, solved_engine):
         solved_engine.warm()
@@ -151,9 +147,19 @@ class TestScoreCacheInvalidation:
         victim = solved_engine.problem.reviewer_ids[0]
         solved_engine.withdraw_reviewer(victim)
         solved_engine.journal_query(solved_engine.problem.paper_ids[0])
+        solved_engine.cache.top_reviewers(solved_engine.problem.paper_ids[0], 3)
         assert calls == []
-        assert solved_engine.cache.stats.rows_removed == 1
-        assert solved_engine.cache.stats.full_builds == 1
+
+    def test_cold_engine_counts_one_full_build(self, monkeypatch, engine):
+        calls = self._count_scoring_calls(monkeypatch)
+        engine.warm()
+        engine.warm()
+        problem = engine.problem
+        assert calls == [(problem.num_reviewers, problem.num_papers)]
+        assert engine.cache.stats.full_builds == 1
+        assert engine.cache.stats.scored_cells == (
+            problem.num_reviewers * problem.num_papers
+        )
 
     def test_cache_matrix_stays_correct_after_mutations(self, solved_engine):
         solved_engine.warm()
@@ -219,7 +225,7 @@ class TestEngineMutations:
         assert engine.problem is problem
         assert after["revision"] == before["revision"]
         assert after["remove_reviewer"] == before["remove_reviewer"]
-        assert after["cache"]["rows_removed"] == before["cache"]["rows_removed"]
+        assert after["cache"] == before["cache"]
         # The engine still serves correctly afterwards.
         assert engine.evaluate(include_ratio=False)["score"] > 0
 
